@@ -5,7 +5,7 @@ Scans Abelian classes in increasing word length and reports every value
 attained by two or more reversal classes, i.e. multiplicity >= 2
 witnesses.  Useful for mapping where collisions first appear: the
 four-letter alphabet {1,2,3,4} already collides at word length 4, and
-even {1,2} collides at length 6 (value 41).
+even {1,2} collides at length 5 (value 19).
 
 Usage:
     python scripts/collision_hunt.py --alphabet 1,2,3,4 --budget 100000

@@ -11,19 +11,27 @@ kept iff it is <= its reversal, which visits each reversal class exactly
 once (at its canonical representative, in lexicographic order) without any
 seen-set.  Values are keyed by exact integer equality, never by hash alone.
 
-Work shards over the first two letters of the word, so enumeration and
+Two kernels compute the value table, and ``_value_table`` alone picks one
+from what it sees in its input.  The stdlib loop is the reference: it
+shards over the first two letters of the word, so enumeration and
 evaluation parallelize; the merge of value tables is associative and
 commutative and is applied in fixed prefix order, making reports
-bit-identical regardless of the worker count.
+bit-identical regardless of the worker count.  When NumPy is importable and
+every value provably fits in int64 (``_fits_int64``), large classes go to an
+exact int64 kernel that enumerates all arrangements breadth-first in
+prefix chunks of bounded size.  Both kernels return identical tables and
+witness words.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Alphabet,
@@ -45,6 +53,20 @@ DEFAULT_VALUE_BUDGET = 10**6
 WITNESS_TOP_K = 3
 WITNESS_VALUES_PER_MULT = 10
 WITNESS_WORDS_PER_VALUE = 10
+
+# Classes with fewer members up to reversal run on the stdlib loop in this
+# process: below it, neither a worker pool (0.1-0.3 s to start) nor the
+# NumPy import (~80 ms) pays for itself.  On a 2-vCPU VM the int64 kernel
+# overtook one stdlib process at 14k-45k members in fresh interpreters, and
+# two pool workers did at 40k-130k; one constant sits where both bands
+# meet.  The figures are in BENCH_3.json.
+PARALLEL_MIN_CLASSES = 40_000
+
+# Arrangements per chunk of the int64 kernel, which bounds its working
+# memory whatever the class size.
+INT64_CHUNK_ROWS = 1 << 17
+
+INT64_LIMIT = 2**63
 
 
 class ClassTooLargeError(Exception):
@@ -231,6 +253,30 @@ def _shard_prefixes(letters: tuple, counts: tuple) -> list[tuple]:
     return prefixes
 
 
+def _fits_int64(letters: Sequence[int], counts: Sequence[int]) -> bool:
+    """True when the rolling loop stays below 2**63 on every arrangement.
+
+    For positive letters continuants never decrease along a word, so
+    K_j = a_j K_{j-1} + K_{j-2} <= (a_j + 1) K_{j-1}.  Every product and sum
+    the loop forms is therefore at most prod (a_i + 1)^{p_i}, whatever the
+    order of the letters.  The proof needs no extremal theorem, so the
+    extremal oracle stays independent of the census.
+    """
+    bound = 1
+    for a, p in zip(letters, counts):
+        bound *= (a + 1) ** p
+    return bound < INT64_LIMIT
+
+
+def _numpy():
+    """The numpy module, or None where it is not installed."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
 def _value_table(
     alphabet: Alphabet,
     parikh: ParikhVector,
@@ -239,12 +285,20 @@ def _value_table(
     limit: int = DEFAULT_CLASS_LIMIT,
     value_budget: int = DEFAULT_VALUE_BUDGET,
     words_per_value: int = 0,
+    witness_values: Callable[[dict], Iterable[int]] | None = None,
 ) -> tuple[int, dict, dict]:
     """Full census table: (class count, value -> count, value -> first words).
 
-    Deterministic for fixed inputs regardless of ``workers``: shards are
-    merged in prefix order, so per-value word lists come out in global
-    lexicographic order.
+    ``witness_values`` picks, from the finished value table, the values
+    whose words are returned, in the order of the returned dict; by default
+    every value.  Each gets its first ``words_per_value`` canonical words in
+    lexicographic order.  The result is the same for fixed inputs whatever
+    ``workers`` and whichever kernel runs.
+
+    The kernel and the pool are chosen here, from the input alone: classes
+    below PARALLEL_MIN_CLASSES run the stdlib loop in this process; larger
+    classes whose values fit int64 run the NumPy kernel when NumPy imports;
+    the rest run the stdlib loop on min(workers, shards, CPUs) processes.
     """
     check_aligned(alphabet, parikh)
     size = exact_class_count(parikh)
@@ -252,14 +306,21 @@ def _value_table(
         raise ClassTooLargeError(size, limit)
 
     letters, counts = alphabet.letters, parikh.counts
-    n = parikh.n
-    if workers <= 1 or n < 2:
+    if size < PARALLEL_MIN_CLASSES:
+        workers = 1
+    elif _fits_int64(letters, counts):
+        np = _numpy()
+        if np is not None:
+            return _int64_table(np, letters, counts, value_budget, words_per_value, witness_values)
+
+    if workers <= 1 or parikh.n < 2:
         shards = [(letters, counts, (), words_per_value, value_budget)]
     else:
         shards = [
             (letters, counts, p, words_per_value, value_budget)
             for p in _shard_prefixes(letters, counts)
         ]
+    workers = min(workers, len(shards), os.cpu_count() or 1)
 
     classes = 0
     table: dict = {}
@@ -280,7 +341,7 @@ def _value_table(
         if len(table) > value_budget:
             raise ValueBudgetExceededError(len(table), value_budget, classes)
 
-    if len(shards) == 1 or workers <= 1:
+    if workers <= 1:
         for shard in shards:
             merge(_scan_shard(shard))
     else:
@@ -288,7 +349,146 @@ def _value_table(
             for part in pool.map(_scan_shard, shards):
                 merge(part)
 
-    return classes, table, {v: tuple(ws) for v, ws in words.items()}
+    if not words_per_value:
+        return classes, table, {}
+    wanted = table if witness_values is None else witness_values(table)
+    return classes, table, {v: tuple(words[v]) for v in wanted}
+
+
+# ---------------------------------------------------------------------------
+# Exact int64 kernel (optional NumPy)
+# ---------------------------------------------------------------------------
+
+def _multinomial(counts: Sequence[int]) -> int:
+    out = math.factorial(sum(counts))
+    for p in counts:
+        out //= math.factorial(p)
+    return out
+
+
+def _grow(np, let, state, depth):
+    """Extend every prefix by each letter it has left, children in lex order."""
+    rem, prev, cur, words = state
+    # Row-major flat positions, so children come out (parent, letter)
+    # ascending.  np.take is several times faster here than fancy indexing.
+    rows, j = np.divmod(np.flatnonzero(rem), len(let))
+    rem = np.take(rem, rows, axis=0) - np.take(np.eye(len(let), dtype=np.uint8), j, axis=0)
+    words = np.take(words, rows, axis=0)
+    words[:, depth] = j
+    cur = np.take(cur, rows)
+    return rem, cur, let[j] * cur + np.take(prev, rows), words
+
+
+def _int64_members(np, letters, counts, chunk_rows):
+    """Yield (words, values) of the canonical class members, lex ascending.
+
+    ``words`` holds letter indices, one row per member; ``values`` their
+    continuants as int64, exact under ``_fits_int64`` (which also keeps n, and
+    so every count and index, below 63).  The class is expanded breadth-first
+    to the shallowest prefix depth at which no prefix has more than
+    ``chunk_rows`` completions; consecutive prefixes are then packed into
+    chunks of at most ``chunk_rows`` arrangements and each chunk is expanded
+    to full length, so memory does not grow with the class size.
+    """
+    n = sum(counts)
+    let = np.array(letters, dtype=np.int64)
+    state = (
+        np.array([counts], dtype=np.uint8),
+        np.zeros(1, dtype=np.int64),
+        np.ones(1, dtype=np.int64),
+        np.zeros((1, n), dtype=np.uint8),
+    )
+    memo: dict = {}
+
+    def completions(rem) -> list[int]:
+        out = []
+        for r in map(tuple, rem.tolist()):
+            if r not in memo:
+                memo[r] = _multinomial(r)
+            out.append(memo[r])
+        return out
+
+    depth = 0
+    sizes = completions(state[0])
+    while max(sizes) > chunk_rows:
+        state = _grow(np, let, state, depth)
+        depth += 1
+        sizes = completions(state[0])
+
+    cuts = [0]
+    total = 0
+    for i, size in enumerate(sizes):
+        if total + size > chunk_rows:
+            cuts.append(i)
+            total = 0
+        total += size
+    cuts.append(len(sizes))
+
+    for lo, hi in zip(cuts, cuts[1:]):
+        chunk = tuple(a[lo:hi] for a in state)
+        for d in range(depth, n):
+            chunk = _grow(np, let, chunk, d)
+        words, values = chunk[3], chunk[2]
+        # Keep w iff w <= reversed(w), comparing columns from the outside in.
+        cols = np.ascontiguousarray(words.T)
+        less = np.zeros(len(values), dtype=bool)
+        equal = np.ones(len(values), dtype=bool)
+        for i in range(n // 2):
+            a, b = cols[i], cols[n - 1 - i]
+            less |= equal & (a < b)
+            equal &= a == b
+        keep = less | equal
+        yield words[keep], values[keep]
+
+
+def _merge_counts(np, vals, cnts, new_vals, new_cnts):
+    """Union of two sorted (value, count) tables, counts of equal values summed."""
+    allv = np.concatenate([vals, new_vals])
+    allc = np.concatenate([cnts, new_cnts])
+    order = np.argsort(allv, kind="stable")
+    allv, allc = allv[order], allc[order]
+    starts = np.flatnonzero(np.concatenate([[True], allv[1:] != allv[:-1]]))
+    return allv[starts], np.add.reduceat(allc, starts)
+
+
+def _int64_table(np, letters, counts, value_budget, words_per_value, witness_values):
+    """``_value_table`` on the int64 kernel: a counting pass, then a witness pass."""
+    vals = np.zeros(0, dtype=np.int64)
+    cnts = np.zeros(0, dtype=np.int64)
+    classes = 0
+    only = None  # the class's chunk while it has just one: the witness pass reuses it
+    for i, chunk in enumerate(_int64_members(np, letters, counts, INT64_CHUNK_ROWS)):
+        values = chunk[1]
+        classes += len(values)
+        vals, cnts = _merge_counts(np, vals, cnts, *np.unique(values, return_counts=True))
+        if len(vals) > value_budget:
+            raise ValueBudgetExceededError(len(vals), value_budget, classes)
+        only = chunk if i == 0 else None
+    table = dict(zip(vals.tolist(), cnts.tolist()))
+    if not words_per_value:
+        return classes, table, {}
+
+    found = {v: [] for v in (table if witness_values is None else witness_values(table))}
+    missing = sum(min(words_per_value, table[v]) for v in found)
+    wanted = np.array(list(found), dtype=np.int64)
+    let = np.array(letters, dtype=np.int64)
+    chunks = [only] if only is not None else _int64_members(np, letters, counts, INT64_CHUNK_ROWS)
+    for words, values in chunks if missing else ():
+        hits = np.flatnonzero(np.isin(values, wanted))
+        # The first words_per_value hits of each value in this chunk: sort
+        # the hits stably by value and rank each within its value.
+        order = np.argsort(values[hits], kind="stable")
+        hv = values[hits[order]]
+        rank = np.arange(len(hv)) - np.searchsorted(hv, hv)
+        take = np.sort(hits[order[rank < words_per_value]])
+        for v, w in zip(values[take].tolist(), let[words[take]].tolist()):
+            got = found[v]
+            if len(got) < words_per_value:
+                got.append(tuple(w))
+                missing -= 1
+        if not missing:
+            break
+    return classes, table, {v: tuple(ws) for v, ws in found.items()}
 
 
 @dataclass(frozen=True)
@@ -355,6 +555,16 @@ class CensusReport:
         }
 
 
+def _report_values(table: dict, top_k: int) -> list[int]:
+    """The values a report shows: for each of the top_k largest multiplicities,
+    its WITNESS_VALUES_PER_MULT smallest values; by multiplicity descending,
+    then value ascending."""
+    values = []
+    for mu in heapq.nlargest(top_k, set(table.values())):
+        values += heapq.nsmallest(WITNESS_VALUES_PER_MULT, [v for v, c in table.items() if c == mu])
+    return values
+
+
 def run_census(
     alphabet: Alphabet,
     parikh: ParikhVector,
@@ -372,19 +582,17 @@ def run_census(
         limit=limit,
         value_budget=value_budget,
         words_per_value=WITNESS_WORDS_PER_VALUE,
+        witness_values=lambda t: _report_values(t, witness_top_k),
     )
     spectrum = Counter(table.values())
-    witnesses = []
-    for mu in sorted(spectrum, reverse=True)[:witness_top_k]:
-        hit_values = sorted(v for v, c in table.items() if c == mu)
-        for v in hit_values[:WITNESS_VALUES_PER_MULT]:
-            witnesses.append(
-                ValueWitnesses(
-                    value=v,
-                    multiplicity=mu,
-                    words=tuple(CanonicalWord._trusted(w) for w in words[v]),
-                )
-            )
+    witnesses = tuple(
+        ValueWitnesses(
+            value=v,
+            multiplicity=table[v],
+            words=tuple(CanonicalWord._trusted(w) for w in ws),
+        )
+        for v, ws in words.items()
+    )
     return CensusReport(
         alphabet=alphabet,
         parikh=parikh,
@@ -394,7 +602,7 @@ def run_census(
         max_multiplicity=max(spectrum),
         max_value=max(table),
         min_value=min(table),
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
     )
 
 

@@ -83,12 +83,12 @@ def _parse_int(text: str, what: str) -> int:
         raise ValueError(f"invalid {what}: {text!r} is not an integer") from None
 
 
-def _parse_precision(text: str) -> tuple[int, int]:
+def _parse_precision(text: str, what: str) -> tuple[int, int]:
     """'128' or '128:4096' -> (initial bits, maximum bits)."""
     if ":" in text:
         first, second = text.split(":", 1)
-        return _parse_int(first, "precision"), _parse_int(second, "precision")
-    return _parse_int(text, "precision"), bounds_mod.MAX_PREC_BITS
+        return _parse_int(first, what), _parse_int(second, what)
+    return _parse_int(text, what), bounds_mod.MAX_PREC_BITS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,21 +135,32 @@ def _add_class_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--parikh", required=True, help="comma-separated occurrence counts")
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    workers_text = args.workers if args.workers is not None else _env("WORKERS")
-    limit_text = args.limit if args.limit is not None else _env("LIMIT")
-    precision_text = args.precision if args.precision is not None else _env("PRECISION")
-    format_text = args.format if args.format is not None else _env("FORMAT")
-    seed_text = args.seed if args.seed is not None else _env("SEED")
+def _int_setting(flag: int | None, name: str) -> int | None:
+    """An integer flag's value, else its environment variable's, else None."""
+    if flag is not None:
+        return flag
+    text = _env(name)
+    return None if text is None else _parse_int(text, ENV_PREFIX + name)
 
-    workers = int(workers_text) if workers_text is not None else (os.cpu_count() or 1)
-    limit = int(limit_text) if limit_text is not None else census_mod.DEFAULT_CLASS_LIMIT
+
+def _config_from(args: argparse.Namespace) -> RunConfig:
+    workers = _int_setting(args.workers, "WORKERS")
+    limit = _int_setting(args.limit, "LIMIT")
+    seed = _int_setting(args.seed, "SEED")
+    precision_text, precision_what = args.precision, "precision"
+    if precision_text is None:
+        precision_text, precision_what = _env("PRECISION"), ENV_PREFIX + "PRECISION"
+    format_text = args.format if args.format is not None else _env("FORMAT")
+
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if limit is None:
+        limit = census_mod.DEFAULT_CLASS_LIMIT
     if precision_text is not None:
-        prec, max_prec = _parse_precision(str(precision_text))
+        prec, max_prec = _parse_precision(precision_text, precision_what)
     else:
         prec, max_prec = bounds_mod.DEFAULT_PREC_BITS, bounds_mod.MAX_PREC_BITS
     fmt = format_text if format_text is not None else "plain"
-    seed = int(seed_text) if seed_text is not None else None
     return RunConfig(
         workers=workers,
         enumeration_limit=limit,

@@ -48,7 +48,7 @@ class ExactSearchResult:
     budget_exhausted: bool
 
 
-def _table(alphabet, parikh, workers, limit, value_budget):
+def _table(alphabet, parikh, workers, limit, value_budget, witness_values):
     return _value_table(
         alphabet,
         parikh,
@@ -56,6 +56,17 @@ def _table(alphabet, parikh, workers, limit, value_budget):
         limit=limit,
         value_budget=value_budget,
         words_per_value=1,
+        witness_values=witness_values,
+    )
+
+
+def _record(alphabet, parikh, table, first_words, value) -> WitnessRecord:
+    return WitnessRecord(
+        alphabet=alphabet,
+        parikh=parikh,
+        word=CanonicalWord._trusted(first_words[value][0]),
+        value=value,
+        multiplicity=table[value],
     )
 
 
@@ -76,18 +87,15 @@ def find_witness(
     """
     if target_mu < 1:
         raise ValueError(f"need target_mu >= 1, got {target_mu}")
-    _, table, first_words = _table(alphabet, parikh, workers, limit, value_budget)
-    hits = [v for v, c in table.items() if c >= target_mu]
-    if not hits:
+
+    def smallest_hit(table):
+        hits = [v for v, c in table.items() if c >= target_mu]
+        return [min(hits)] if hits else []
+
+    _, table, first_words = _table(alphabet, parikh, workers, limit, value_budget, smallest_hit)
+    if not first_words:
         return None
-    value = min(hits)
-    return WitnessRecord(
-        alphabet=alphabet,
-        parikh=parikh,
-        word=CanonicalWord._trusted(first_words[value][0]),
-        value=value,
-        multiplicity=table[value],
-    )
+    return _record(alphabet, parikh, table, first_words, next(iter(first_words)))
 
 
 def growing_multiplicity_scan(
@@ -107,20 +115,17 @@ def growing_multiplicity_scan(
     """
     if not 1 <= m_start <= m_end:
         raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}..{m_end}")
+
+    def smallest_top(table):
+        max_mu = max(table.values())
+        return [min(v for v, c in table.items() if c == max_mu)]
+
     out = []
     for m in range(m_start, m_end + 1):
         parikh = ParikhVector.equipartitioned(alphabet.size, m)
-        _, table, first_words = _table(alphabet, parikh, workers, limit, value_budget)
-        max_mu = max(table.values())
-        value = min(v for v, c in table.items() if c == max_mu)
-        record = WitnessRecord(
-            alphabet=alphabet,
-            parikh=parikh,
-            word=CanonicalWord._trusted(first_words[value][0]),
-            value=value,
-            multiplicity=max_mu,
-        )
-        out.append((m, max_mu, record))
+        _, table, first_words = _table(alphabet, parikh, workers, limit, value_budget, smallest_top)
+        record = _record(alphabet, parikh, table, first_words, next(iter(first_words)))
+        out.append((m, record.multiplicity, record))
     return out
 
 
@@ -155,6 +160,10 @@ def exact_multiplicity_scan(
         raise ValueError(f"need target_mu >= 1, got {target_mu}")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
+
+    def exact_hits(table):
+        return sorted(v for v, c in table.items() if c == target_mu)
+
     records: list[WitnessRecord] = []
     scanned = 0
     parikhs = 0
@@ -167,19 +176,10 @@ def exact_multiplicity_scan(
             if scanned + size > budget:
                 exhausted = True
                 break
-            _, table, first_words = _table(alphabet, parikh, workers, limit, value_budget)
+            _, table, first_words = _table(alphabet, parikh, workers, limit, value_budget, exact_hits)
             scanned += size
             parikhs += 1
-            for value in sorted(v for v, c in table.items() if c == target_mu):
-                records.append(
-                    WitnessRecord(
-                        alphabet=alphabet,
-                        parikh=parikh,
-                        word=CanonicalWord._trusted(first_words[value][0]),
-                        value=value,
-                        multiplicity=target_mu,
-                    )
-                )
+            records.extend(_record(alphabet, parikh, table, first_words, v) for v in first_words)
         else:
             n += 1
             continue

@@ -2,9 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from continuants import census
 
 from continuants import (
     Alphabet,
@@ -24,6 +30,8 @@ from continuants import (
 )
 
 from helpers import small_classes, words
+
+SRC = str(Path(census.__file__).resolve().parent.parent)
 
 
 def alpha(*letters):
@@ -252,3 +260,165 @@ class TestMultisetPermutations:
         assert len(perms) == math.factorial(5) // (2 * 2)
         assert perms == sorted(perms)
         assert len(set(perms)) == len(perms)
+
+
+# ---------------------------------------------------------------------------
+# Kernel dispatch: the int64 kernel, the stdlib loop, the pool
+# ---------------------------------------------------------------------------
+
+
+class FakeExecutor:
+    """In-process stand-in for ProcessPoolExecutor that records max_workers."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        FakeExecutor.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def full_table(letters, counts, **kwargs):
+    """_value_table with every value's first three words, as comparable data."""
+    classes, table, words = census._value_table(
+        alpha(*letters), parikh(*counts), words_per_value=3, **kwargs
+    )
+    return classes, table, sorted(words.items())
+
+
+def report_of(letters, counts, **kwargs):
+    return json.dumps(run_census(alpha(*letters), parikh(*counts), **kwargs).to_json_dict())
+
+
+class TestKernels:
+    @given(small_classes(max_total=9), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_int64_kernel_matches_stdlib(self, cls, words_per_value):
+        np = pytest.importorskip("numpy")
+        letters, counts = cls
+        budget = census.DEFAULT_VALUE_BUDGET
+        for pick in (None, lambda t: census._report_values(t, 3)):
+            stdlib = census._value_table(
+                alpha(*letters), parikh(*counts), words_per_value=words_per_value, witness_values=pick
+            )
+            fast = census._int64_table(np, letters, counts, budget, words_per_value, pick)
+            assert fast == stdlib
+            if pick is not None:
+                assert list(fast[2]) == list(stdlib[2])  # witnesses in the order picked
+
+    @given(small_classes(max_total=9), st.sampled_from([1, 2, 5, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_int64_kernel_in_several_chunks(self, cls, chunk_rows):
+        pytest.importorskip("numpy")
+        letters, counts = cls
+        reference = full_table(letters, counts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+            mp.setattr(census, "INT64_CHUNK_ROWS", chunk_rows)
+            assert full_table(letters, counts) == reference
+            assert report_of(letters, counts) == report_of(letters, counts, workers=2)
+
+    def test_int64_values_near_the_overflow_gate(self):
+        np = pytest.importorskip("numpy")
+        # prod (a_i + 1) = (2**21 - 2)(2**21 - 1) 2**21 < 2**63, and K(a,b,c) = abc + a + c.
+        letters, counts = (2**21 - 3, 2**21 - 2, 2**21 - 1), (1, 1, 1)
+        assert census._fits_int64(letters, counts)
+        stdlib = census._value_table(alpha(*letters), parikh(*counts), words_per_value=2)
+        assert min(stdlib[1]) > 2**63 - 2**45
+        fast = census._int64_table(np, letters, counts, census.DEFAULT_VALUE_BUDGET, 2, None)
+        assert fast == stdlib
+
+    @given(small_classes(max_total=8), st.sampled_from([2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_stdlib_reports_identical_across_workers(self, cls, workers):
+        letters, counts = cls
+        one = full_table(letters, counts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+            mp.setattr(census, "_numpy", lambda: None)
+            mp.setattr(census, "ProcessPoolExecutor", FakeExecutor)
+            mp.setattr(census.os, "cpu_count", lambda: 4)
+            assert full_table(letters, counts, workers=workers) == one
+            assert report_of(letters, counts, workers=workers) == report_of(letters, counts)
+
+    def test_overflow_gate_bound(self):
+        assert census._fits_int64((1,), (62,))
+        assert not census._fits_int64((1,), (63,))  # 2**63 itself does not pass
+        assert census._fits_int64((6,), (22,))  # 7**22 < 2**63: letters <= 6, n <= 22
+        assert not census._fits_int64((6,), (23,))
+
+    def test_class_over_the_overflow_gate_takes_the_stdlib_path(self, monkeypatch):
+        pytest.importorskip("numpy")
+        calls = []
+        kernel = census._int64_table
+        monkeypatch.setattr(census, "_int64_table", lambda *a: calls.append(a) or kernel(*a))
+        monkeypatch.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+        over, under = ((1, 2), (63, 1)), ((1, 2), (60, 1))  # bounds 3 * 2**63 and 3 * 2**60
+        assert not census._fits_int64(*over) and census._fits_int64(*under)
+        run_census(alpha(1, 2), parikh(*over[1]))
+        assert calls == []
+        run_census(alpha(1, 2), parikh(*under[1]))
+        assert len(calls) == 1
+
+    def test_same_reports_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+        cases = [((1, 2, 3), (2, 2, 2)), ((1, 2, 3, 4), (1, 1, 1, 1)), ((1, 2), (4, 3))]
+        with_numpy = [report_of(*c) for c in cases]
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert census._numpy() is None
+        assert [report_of(*c) for c in cases] == with_numpy
+
+    def test_bigint_census_never_imports_numpy(self):
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {SRC!r})\n"
+            "from continuants import census, cli\n"
+            "assert 'numpy' not in sys.modules, 'import continuants.cli imported numpy'\n"
+            "census.PARALLEL_MIN_CLASSES = 0\n"
+            "assert cli.main(['census', '--alphabet', '1,2,70000', '--parikh', '3,2,4', '--workers', '1']) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+
+class TestPoolDispatch:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        FakeExecutor.made = []
+        monkeypatch.setattr(census, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(census, "_numpy", lambda: None)
+
+    def test_no_pool_below_the_size_gate(self, monkeypatch):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
+        small = parikh(3, 3, 3)
+        assert exact_class_count(small) < census.PARALLEL_MIN_CLASSES
+        rep = run_census(alpha(1, 2, 3), small, workers=8)
+        assert FakeExecutor.made == []
+        assert rep == run_census(alpha(1, 2, 3), small, workers=1)
+
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [(8, 2, 2), (8, 64, 4), (3, 64, 3), (2, 1, None), (1, 8, None)],
+    )
+    def test_workers_clamped_to_shards_and_cpus(self, monkeypatch, workers, cpus, expected):
+        monkeypatch.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+        a, p = alpha(1, 2), parikh(3, 3)  # two letters: four two-letter prefixes
+        assert len(census._shard_prefixes(a.letters, p.counts)) == 4
+        rep = run_census(a, p, workers=workers)
+        assert FakeExecutor.made == ([] if expected is None else [expected])
+        assert rep == run_census(a, p, workers=1)
+
+    def test_single_letter_word_uses_no_pool(self, monkeypatch):
+        monkeypatch.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+        run_census(alpha(5), parikh(1), workers=4)
+        assert FakeExecutor.made == []

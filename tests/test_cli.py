@@ -230,6 +230,16 @@ class TestGlobalFlags:
         assert code == EXIT_LIMIT
         assert "2" in err
 
+    @pytest.mark.parametrize(
+        "name", ["CONTINUANTS_WORKERS", "CONTINUANTS_LIMIT", "CONTINUANTS_SEED", "CONTINUANTS_PRECISION"]
+    )
+    def test_bad_env_value_names_the_variable(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, out, err = run(capsys, "continuant", "1,2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert name in err and "'abc'" in err
+
     def test_precision_flag_forms(self, capsys):
         code, _, _ = run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3", "--precision", "64")
         assert code == EXIT_OK
