@@ -5,11 +5,9 @@ Every figure is the best of ``--repeats`` fresh ``continuants census``
 interpreters, so each one includes interpreter start-up and, on the int64
 path, the NumPy import.  Two sections:
 
-* ``gate``: classes of growing size N, run once on each path with the size
-  gate forced open (PARALLEL_MIN_CLASSES = 0): ``serial`` (stdlib loop, one
-  process), ``pool`` (stdlib loop on two workers, NumPy hidden) and
-  ``int64``.  ``serial`` runs with the gate forced shut.  The crossovers
-  place PARALLEL_MIN_CLASSES.
+* ``gate``: classes of growing size N, run once on each path: ``serial``
+  (stdlib loop, size gate forced shut) and ``int64`` (size gate forced
+  open, INT64_MIN_CLASSES = 0).  The crossover places INT64_MIN_CLASSES.
 * ``cli``: ``census --alphabet 1,2,3,4 --parikh 3,3,3,3 --workers 2`` on the
   checkout's own dispatch, and on ``--baseline-src`` when given.
 
@@ -34,11 +32,9 @@ RUNNER = """
 import sys
 src, mode, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
 sys.path.insert(0, src)
-if mode == "pool":
-    sys.modules["numpy"] = None
 from continuants import census, cli
 if mode != "default":
-    census.PARALLEL_MIN_CLASSES = 10**18 if mode == "serial" else 0
+    census.INT64_MIN_CLASSES = 10**18 if mode == "serial" else 0
 sys.exit(cli.main(argv))
 """
 
@@ -90,7 +86,7 @@ def main() -> int:
             "platform": platform.platform(),
         },
         "constants": {
-            "PARALLEL_MIN_CLASSES": census.PARALLEL_MIN_CLASSES,
+            "INT64_MIN_CLASSES": census.INT64_MIN_CLASSES,
             "INT64_CHUNK_ROWS": census.INT64_CHUNK_ROWS,
         },
         "repeats": args.repeats,
@@ -100,7 +96,7 @@ def main() -> int:
     for letters, counts in GATE_CLASSES:
         n_classes = census.exact_class_count(ParikhVector(tuple(int(c) for c in counts.split(","))))
         row = {"alphabet": letters, "parikh": counts, "N": n_classes}
-        for mode in ("serial", "pool", "int64"):
+        for mode in ("serial", "int64"):
             row[f"{mode}_s"] = cli_seconds(str(SRC), mode, letters, counts, args.repeats)
         record["gate"].append(row)
         print(json.dumps(row), file=sys.stderr)

@@ -54,7 +54,6 @@ from .explorer import (
     ExactSearchResult,
     WitnessRecord,
     exact_multiplicity_scan,
-    exact_multiplicity_search,
     find_witness,
     growing_multiplicity_scan,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "enumerate_classes",
     "exact_class_count",
     "exact_multiplicity_scan",
-    "exact_multiplicity_search",
     "find_witness",
     "format_word",
     "generalized_fibonacci",

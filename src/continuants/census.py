@@ -11,24 +11,22 @@ kept iff it is <= its reversal, which visits each reversal class exactly
 once (at its canonical representative, in lexicographic order) without any
 seen-set.  Values are keyed by exact integer equality, never by hash alone.
 
-Two kernels compute the value table, and ``_value_table`` alone picks one
-from what it sees in its input.  The stdlib loop is the reference: it
-shards over the first two letters of the word, so enumeration and
-evaluation parallelize; the merge of value tables is associative and
-commutative and is applied in fixed prefix order, making reports
-bit-identical regardless of the worker count.  When NumPy is importable and
-every value provably fits in int64 (``_fits_int64``), large classes go to an
-exact int64 kernel that enumerates all arrangements breadth-first in
-prefix chunks of bounded size.  Both kernels return identical tables and
-witness words.
+Two kernels compute the value table, both in the calling process, and
+``_value_table`` alone picks one from what it sees in its input.  When NumPy
+is importable and every value provably fits in int64 (``_fits_int64``),
+large classes go to an exact int64 kernel that enumerates all arrangements
+breadth-first in prefix chunks of bounded size.  Every other class runs the
+stdlib loop, which is the reference.  Both kernels return identical tables
+and witness words.  No path starts a process, so reports and the value
+budget do not depend on the ``workers`` argument.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from collections import Counter
+# Unused here; perfbench/layers.py subclasses it to count pool start-ups.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -54,13 +52,11 @@ WITNESS_TOP_K = 3
 WITNESS_VALUES_PER_MULT = 10
 WITNESS_WORDS_PER_VALUE = 10
 
-# Classes with fewer members up to reversal run on the stdlib loop in this
-# process: below it, neither a worker pool (0.1-0.3 s to start) nor the
-# NumPy import (~80 ms) pays for itself.  On a 2-vCPU VM the int64 kernel
-# overtook one stdlib process at 14k-45k members in fresh interpreters, and
-# two pool workers did at 40k-130k; one constant sits where both bands
-# meet.  The figures are in BENCH_3.json.
-PARALLEL_MIN_CLASSES = 40_000
+# Classes with fewer members up to reversal always run on the stdlib loop:
+# below it the NumPy import (~80 ms) does not pay for itself.  On a 2-vCPU
+# VM the int64 kernel overtook the stdlib loop at 14k-45k members in fresh
+# interpreters (BENCH_3.json), and this constant sits inside that band.
+INT64_MIN_CLASSES = 40_000
 
 # Arrangements per chunk of the int64 kernel, which bounds its working
 # memory whatever the class size.
@@ -79,9 +75,6 @@ class ClassTooLargeError(Exception):
         self.class_size = class_size
         self.limit = limit
 
-    def __reduce__(self):
-        return (type(self), (self.class_size, self.limit))
-
 
 class ValueBudgetExceededError(Exception):
     """The census value table outgrew its memory budget.
@@ -99,9 +92,6 @@ class ValueBudgetExceededError(Exception):
         self.distinct_values_seen = distinct_values_seen
         self.budget = budget
         self.classes_evaluated = classes_evaluated
-
-    def __reduce__(self):
-        return (type(self), (self.distinct_values_seen, self.budget, self.classes_evaluated))
 
 
 def _counts_of(parikh) -> tuple[int, ...]:
@@ -203,12 +193,11 @@ def enumerate_classes(
 # ---------------------------------------------------------------------------
 
 def _scan_shard(args) -> tuple[int, dict, dict]:
-    """Count continuant values over one prefix shard of the class.
+    """Count continuant values over the class members that start with ``prefix``.
 
-    Returns (classes_seen, value -> count, value -> tuple of first words).
-    Module level so ProcessPoolExecutor can pickle it.  Aborts as soon as
-    the shard's own table outgrows the budget; the merge re-checks the
-    union.
+    Returns (classes_seen, value -> count, value -> list of first words).
+    Raises ValueBudgetExceededError as soon as the table outgrows
+    ``value_budget``; with the empty prefix that is the whole class's table.
     """
     letters, counts, prefix, words_per_value, value_budget = args
     remaining = list(counts)
@@ -237,9 +226,10 @@ def _scan_shard(args) -> tuple[int, dict, dict]:
                     words[cur] = [w]
                 elif len(got) < words_per_value:
                     got.append(w)
-    return classes, table, {v: tuple(ws) for v, ws in words.items()}
+    return classes, table, words
 
 
+# Unused here; perfbench/layers.py calls it to replay and size a sharded scan.
 def _shard_prefixes(letters: tuple, counts: tuple) -> list[tuple]:
     """Distinct two-letter prefixes of class members, in lexicographic order."""
     prefixes = []
@@ -292,13 +282,13 @@ def _value_table(
     ``witness_values`` picks, from the finished value table, the values
     whose words are returned, in the order of the returned dict; by default
     every value.  Each gets its first ``words_per_value`` canonical words in
-    lexicographic order.  The result is the same for fixed inputs whatever
-    ``workers`` and whichever kernel runs.
+    lexicographic order.  The result is the same for fixed inputs whichever
+    kernel runs.  ``workers`` is accepted for compatibility and has no
+    effect: every path runs in this process.
 
-    The kernel and the pool are chosen here, from the input alone: classes
-    below PARALLEL_MIN_CLASSES run the stdlib loop in this process; larger
-    classes whose values fit int64 run the NumPy kernel when NumPy imports;
-    the rest run the stdlib loop on min(workers, shards, CPUs) processes.
+    The kernel is chosen here, from the input alone: classes of at least
+    INT64_MIN_CLASSES members whose values fit int64 run the NumPy kernel
+    when NumPy imports; the rest run the stdlib loop.
     """
     check_aligned(alphabet, parikh)
     size = exact_class_count(parikh)
@@ -306,49 +296,12 @@ def _value_table(
         raise ClassTooLargeError(size, limit)
 
     letters, counts = alphabet.letters, parikh.counts
-    if size < PARALLEL_MIN_CLASSES:
-        workers = 1
-    elif _fits_int64(letters, counts):
+    if size >= INT64_MIN_CLASSES and _fits_int64(letters, counts):
         np = _numpy()
         if np is not None:
             return _int64_table(np, letters, counts, value_budget, words_per_value, witness_values)
 
-    if workers <= 1 or parikh.n < 2:
-        shards = [(letters, counts, (), words_per_value, value_budget)]
-    else:
-        shards = [
-            (letters, counts, p, words_per_value, value_budget)
-            for p in _shard_prefixes(letters, counts)
-        ]
-    workers = min(workers, len(shards), os.cpu_count() or 1)
-
-    classes = 0
-    table: dict = {}
-    words: dict = {}
-
-    def merge(part: tuple[int, dict, dict]) -> None:
-        nonlocal classes
-        shard_classes, shard_table, shard_words = part
-        classes += shard_classes
-        for v, c in shard_table.items():
-            table[v] = table.get(v, 0) + c
-        for v, ws in shard_words.items():
-            got = words.get(v)
-            if got is None:
-                words[v] = list(ws)
-            elif len(got) < words_per_value:
-                got.extend(ws[: words_per_value - len(got)])
-        if len(table) > value_budget:
-            raise ValueBudgetExceededError(len(table), value_budget, classes)
-
-    if workers <= 1:
-        for shard in shards:
-            merge(_scan_shard(shard))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_shard, shards):
-                merge(part)
-
+    classes, table, words = _scan_shard((letters, counts, (), words_per_value, value_budget))
     if not words_per_value:
         return classes, table, {}
     wanted = table if witness_values is None else witness_values(table)
@@ -574,7 +527,10 @@ def run_census(
     value_budget: int = DEFAULT_VALUE_BUDGET,
     witness_top_k: int = WITNESS_TOP_K,
 ) -> CensusReport:
-    """Census the class: evaluate K on every member and aggregate by value."""
+    """Census the class: evaluate K on every member and aggregate by value.
+
+    ``workers`` is accepted for compatibility and has no effect.
+    """
     classes, table, words = _value_table(
         alphabet,
         parikh,

@@ -10,8 +10,9 @@ Every subcommand prints machine-readable output in one of three formats
 
 Global flags may also be supplied through environment variables with the
 CONTINUANTS_ prefix (CONTINUANTS_WORKERS, CONTINUANTS_LIMIT,
-CONTINUANTS_PRECISION, CONTINUANTS_FORMAT, CONTINUANTS_SEED); explicit
-flags win over the environment.
+CONTINUANTS_PRECISION, CONTINUANTS_FORMAT); explicit flags win over the
+environment.  --workers is validated but has no effect: every command runs
+in one process.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class RunConfig:
     max_precision_bits: int = bounds_mod.MAX_PREC_BITS
     output_format: str = "plain"
     witness_top_k: int = census_mod.WITNESS_TOP_K
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -93,11 +93,12 @@ def _parse_precision(text: str, what: str) -> tuple[int, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--workers", type=int, default=None, help="worker processes")
+    shared.add_argument(
+        "--workers", type=int, default=None, help="accepted for compatibility; has no effect"
+    )
     shared.add_argument("--limit", type=int, default=None, help="enumeration limit (reversal classes)")
     shared.add_argument("--precision", default=None, help="certified-real precision bits, BITS or INIT:MAX")
     shared.add_argument("--format", choices=FORMATS, default=None, help="output format")
-    shared.add_argument("--seed", type=int, default=None, help="seed for randomized helpers")
 
     parser = argparse.ArgumentParser(prog="continuants", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,11 +147,14 @@ def _int_setting(flag: int | None, name: str) -> int | None:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     workers = _int_setting(args.workers, "WORKERS")
     limit = _int_setting(args.limit, "LIMIT")
-    seed = _int_setting(args.seed, "SEED")
     precision_text, precision_what = args.precision, "precision"
     if precision_text is None:
         precision_text, precision_what = _env("PRECISION"), ENV_PREFIX + "PRECISION"
     format_text = args.format if args.format is not None else _env("FORMAT")
+    if format_text is not None and format_text not in FORMATS:  # argparse checks --format
+        raise ValueError(
+            f"invalid {ENV_PREFIX}FORMAT: {format_text!r} is not one of {', '.join(FORMATS)}"
+        )
 
     if workers is None:
         workers = os.cpu_count() or 1
@@ -167,7 +171,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         precision_bits=prec,
         max_precision_bits=max_prec,
         output_format=fmt,
-        seed=seed,
     )
 
 

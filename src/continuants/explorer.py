@@ -7,6 +7,8 @@ fully deterministic, with tie-breaks fixed as: smallest word length, then
 lexicographically smallest Parikh vector, then smallest value, then
 lexicographically smallest word.  Whether small classes contain collisions
 at all is an empirical question this module exists to answer.
+
+The ``workers`` keyword of each search is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -191,24 +193,3 @@ def exact_multiplicity_scan(
         budget_exhausted=exhausted,
     )
 
-
-def exact_multiplicity_search(
-    alphabet: Alphabet,
-    target_mu: int,
-    budget: int,
-    *,
-    workers: int = 1,
-    limit: int = DEFAULT_CLASS_LIMIT,
-    value_budget: int = DEFAULT_VALUE_BUDGET,
-) -> list[WitnessRecord]:
-    """Like :func:`exact_multiplicity_scan`, returning just the records."""
-    return list(
-        exact_multiplicity_scan(
-            alphabet,
-            target_mu,
-            budget,
-            workers=workers,
-            limit=limit,
-            value_budget=value_budget,
-        ).records
-    )

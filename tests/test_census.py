@@ -1,5 +1,6 @@
 """Class enumeration, exact counts, and the value census."""
 
+import concurrent.futures
 import json
 import math
 import subprocess
@@ -263,26 +264,8 @@ class TestMultisetPermutations:
 
 
 # ---------------------------------------------------------------------------
-# Kernel dispatch: the int64 kernel, the stdlib loop, the pool
+# Kernel dispatch: the int64 kernel and the stdlib loop
 # ---------------------------------------------------------------------------
-
-
-class FakeExecutor:
-    """In-process stand-in for ProcessPoolExecutor that records max_workers."""
-
-    made: list = []
-
-    def __init__(self, max_workers):
-        FakeExecutor.made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
 
 
 def full_table(letters, counts, **kwargs):
@@ -320,7 +303,7 @@ class TestKernels:
         letters, counts = cls
         reference = full_table(letters, counts)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+            mp.setattr(census, "INT64_MIN_CLASSES", 0)
             mp.setattr(census, "INT64_CHUNK_ROWS", chunk_rows)
             assert full_table(letters, counts) == reference
             assert report_of(letters, counts) == report_of(letters, counts, workers=2)
@@ -341,10 +324,8 @@ class TestKernels:
         letters, counts = cls
         one = full_table(letters, counts)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+            mp.setattr(census, "INT64_MIN_CLASSES", 0)
             mp.setattr(census, "_numpy", lambda: None)
-            mp.setattr(census, "ProcessPoolExecutor", FakeExecutor)
-            mp.setattr(census.os, "cpu_count", lambda: 4)
             assert full_table(letters, counts, workers=workers) == one
             assert report_of(letters, counts, workers=workers) == report_of(letters, counts)
 
@@ -359,7 +340,7 @@ class TestKernels:
         calls = []
         kernel = census._int64_table
         monkeypatch.setattr(census, "_int64_table", lambda *a: calls.append(a) or kernel(*a))
-        monkeypatch.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+        monkeypatch.setattr(census, "INT64_MIN_CLASSES", 0)
         over, under = ((1, 2), (63, 1)), ((1, 2), (60, 1))  # bounds 3 * 2**63 and 3 * 2**60
         assert not census._fits_int64(*over) and census._fits_int64(*under)
         run_census(alpha(1, 2), parikh(*over[1]))
@@ -368,7 +349,7 @@ class TestKernels:
         assert len(calls) == 1
 
     def test_same_reports_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(census, "PARALLEL_MIN_CLASSES", 0)
+        monkeypatch.setattr(census, "INT64_MIN_CLASSES", 0)
         cases = [((1, 2, 3), (2, 2, 2)), ((1, 2, 3, 4), (1, 1, 1, 1)), ((1, 2), (4, 3))]
         with_numpy = [report_of(*c) for c in cases]
         monkeypatch.setitem(sys.modules, "numpy", None)
@@ -381,7 +362,7 @@ class TestKernels:
             f"sys.path.insert(0, {SRC!r})\n"
             "from continuants import census, cli\n"
             "assert 'numpy' not in sys.modules, 'import continuants.cli imported numpy'\n"
-            "census.PARALLEL_MIN_CLASSES = 0\n"
+            "census.INT64_MIN_CLASSES = 0\n"
             "assert cli.main(['census', '--alphabet', '1,2,70000', '--parikh', '3,2,4', '--workers', '1']) == 0\n"
             "print('numpy' in sys.modules)\n"
         )
@@ -390,35 +371,20 @@ class TestKernels:
         assert done.stdout.splitlines()[-1] == "False"
 
 
-class TestPoolDispatch:
-    @pytest.fixture(autouse=True)
-    def fake_pool(self, monkeypatch):
-        FakeExecutor.made = []
-        monkeypatch.setattr(census, "ProcessPoolExecutor", FakeExecutor)
-        monkeypatch.setattr(census, "_numpy", lambda: None)
+class TestOneProcess:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_value_budget_is_global(self, monkeypatch, workers):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ValueBudgetExceededError) as info:
+            run_census(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), workers=workers, value_budget=20_000)
+        assert (info.value.distinct_values_seen, info.value.classes_evaluated) == (20001, 33886)
 
-    def test_no_pool_below_the_size_gate(self, monkeypatch):
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
-        small = parikh(3, 3, 3)
-        assert exact_class_count(small) < census.PARALLEL_MIN_CLASSES
-        rep = run_census(alpha(1, 2, 3), small, workers=8)
-        assert FakeExecutor.made == []
-        assert rep == run_census(alpha(1, 2, 3), small, workers=1)
+    def test_no_process_is_started(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
 
-    @pytest.mark.parametrize(
-        "workers, cpus, expected",
-        [(8, 2, 2), (8, 64, 4), (3, 64, 3), (2, 1, None), (1, 8, None)],
-    )
-    def test_workers_clamped_to_shards_and_cpus(self, monkeypatch, workers, cpus, expected):
-        monkeypatch.setattr(census, "PARALLEL_MIN_CLASSES", 0)
-        monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
-        a, p = alpha(1, 2), parikh(3, 3)  # two letters: four two-letter prefixes
-        assert len(census._shard_prefixes(a.letters, p.counts)) == 4
-        rep = run_census(a, p, workers=workers)
-        assert FakeExecutor.made == ([] if expected is None else [expected])
-        assert rep == run_census(a, p, workers=1)
-
-    def test_single_letter_word_uses_no_pool(self, monkeypatch):
-        monkeypatch.setattr(census, "PARALLEL_MIN_CLASSES", 0)
-        run_census(alpha(5), parikh(1), workers=4)
-        assert FakeExecutor.made == []
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
+        monkeypatch.setattr(census, "INT64_MIN_CLASSES", 0)
+        a, p = alpha(1, 2, 70000), parikh(3, 2, 4)
+        assert not census._fits_int64(a.letters, p.counts)
+        assert report_of(a.letters, p.counts, workers=8) == report_of(a.letters, p.counts)

@@ -231,7 +231,7 @@ class TestGlobalFlags:
         assert "2" in err
 
     @pytest.mark.parametrize(
-        "name", ["CONTINUANTS_WORKERS", "CONTINUANTS_LIMIT", "CONTINUANTS_SEED", "CONTINUANTS_PRECISION"]
+        "name", ["CONTINUANTS_WORKERS", "CONTINUANTS_LIMIT", "CONTINUANTS_PRECISION", "CONTINUANTS_FORMAT"]
     )
     def test_bad_env_value_names_the_variable(self, capsys, monkeypatch, name):
         monkeypatch.setenv(name, "abc")
@@ -239,6 +239,8 @@ class TestGlobalFlags:
         assert code == EXIT_USAGE
         assert out == ""
         assert name in err and "'abc'" in err
+        if name == "CONTINUANTS_FORMAT":
+            assert all(fmt in err for fmt in ("plain", "json", "csv"))
 
     def test_precision_flag_forms(self, capsys):
         code, _, _ = run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3", "--precision", "64")
@@ -249,11 +251,6 @@ class TestGlobalFlags:
     def test_bad_precision_rejected(self, capsys):
         code, _, err = run(capsys, "bounds", "--t", "1", "--l", "1", "--precision", "512:64")
         assert code == EXIT_USAGE
-
-    def test_seed_flag_accepted(self, capsys):
-        code, out, _ = run(capsys, "continuant", "--seed", "7", "1,2")
-        assert code == EXIT_OK
-        assert out.strip() == "3"
 
 
 class TestRunConfig:

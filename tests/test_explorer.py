@@ -7,7 +7,6 @@ from continuants import (
     ParikhVector,
     exact_class_count,
     exact_multiplicity_scan,
-    exact_multiplicity_search,
     find_witness,
     growing_multiplicity_scan,
     multiplicity_of,
@@ -124,9 +123,9 @@ class TestExactMultiplicityScan:
             assert multiplicity_of(r.word) == 2
 
     def test_search_returns_record_list(self):
-        records = exact_multiplicity_search(alpha(1, 2, 3, 4), 2, 50)
+        records = exact_multiplicity_scan(alpha(1, 2, 3, 4), 2, 50).records
         assert len(records) == 8
-        assert records == list(exact_multiplicity_scan(alpha(1, 2, 3, 4), 2, 50).records)
+        assert records == exact_multiplicity_scan(alpha(1, 2, 3, 4), 2, 50).records
 
     def test_deterministic_across_workers(self):
         one = exact_multiplicity_scan(alpha(1, 2, 3), 2, 60, workers=1)
@@ -143,4 +142,4 @@ class TestExactMultiplicityScan:
         assert seen == sorted(seen)
 
     def test_empty_result_is_valid(self):
-        assert exact_multiplicity_search(alpha(1, 2), 2, 5) == []
+        assert exact_multiplicity_scan(alpha(1, 2), 2, 5).records == ()
