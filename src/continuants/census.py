@@ -11,12 +11,18 @@ kept iff it is <= its reversal, which visits each reversal class exactly
 once (at its canonical representative, in lexicographic order) without any
 seen-set.  Values are keyed by exact integer equality, never by hash alone.
 
+``_members`` is the one stdlib enumerate-and-evaluate kernel: it yields
+(w, K(w)) for each canonical member, optionally below a fixed prefix.  Its
+three users are the census scan ``_scan_shard``, ``multiplicity_of`` and
+the extremal oracle ``extremal.brute_force_extrema``.  ``_class_size`` is
+the one enumeration limit gate, which every class-wide routine passes first.
+
 Two kernels compute the value table, both in the calling process, and
 ``_value_table`` alone picks one from what it sees in its input.  When NumPy
 is importable and every value provably fits in int64 (``_fits_int64``),
 large classes go to an exact int64 kernel that enumerates all arrangements
 breadth-first in prefix chunks of bounded size.  Every other class runs the
-stdlib loop, which is the reference.  Both kernels return identical tables
+stdlib kernel, which is the reference.  Both kernels return identical tables
 and witness words.  No path starts a process, so reports and the value
 budget do not depend on the ``workers`` argument.
 """
@@ -100,39 +106,38 @@ def _counts_of(parikh) -> tuple[int, ...]:
     return ParikhVector(tuple(parikh)).counts
 
 
+def _multinomial(counts: Sequence[int]) -> int:
+    out = math.factorial(sum(counts))
+    for p in counts:
+        out //= math.factorial(p)
+    return out
+
+
 def exact_class_count(parikh) -> int:
     """Exact number of class members up to reversal: (multinomial + palindromes) / 2.
 
-    The multinomial n!/(p_1! ... p_s!) counts raw permutations; palindromic
-    arrangements (fixed points of reversal) number 0 when more than one
-    count is odd, and otherwise equal the multinomial of floor(n/2) over
-    the halved counts.
+    The multinomial n!/(p_1! ... p_s!) counts raw permutations; each
+    palindromic arrangement is its own reversal, every other one pairs off.
     """
     counts = _counts_of(parikh)
-    n = sum(counts)
-    multi = math.factorial(n)
-    for p in counts:
-        multi //= math.factorial(p)
-    odd = sum(1 for p in counts if p % 2)
-    if odd > 1:
-        pal = 0
-    else:
-        pal = math.factorial(n // 2)
-        for p in counts:
-            pal //= math.factorial(p // 2)
-    return (multi + pal) // 2
+    return (_multinomial(counts) + palindromic_count(counts)) // 2
 
 
 def palindromic_count(parikh) -> int:
-    """Number of palindromic arrangements in the class."""
+    """Number of palindromic arrangements: 0, or the multinomial of the halved counts."""
     counts = _counts_of(parikh)
-    odd = sum(1 for p in counts if p % 2)
-    if odd > 1:
+    if sum(p % 2 for p in counts) > 1:
         return 0
-    pal = math.factorial(sum(counts) // 2)
-    for p in counts:
-        pal //= math.factorial(p // 2)
-    return pal
+    return _multinomial([p // 2 for p in counts])
+
+
+def _class_size(alphabet: Alphabet, parikh: ParikhVector, limit: int) -> int:
+    """Exact class size up to reversal; ClassTooLargeError if it exceeds ``limit``."""
+    check_aligned(alphabet, parikh)
+    size = exact_class_count(parikh)
+    if size > limit:
+        raise ClassTooLargeError(size, limit)
+    return size
 
 
 def multiset_permutations(letters: Sequence[int], counts: Sequence[int]) -> Iterator[tuple]:
@@ -144,17 +149,17 @@ def multiset_permutations(letters: Sequence[int], counts: Sequence[int]) -> Iter
     return _perms_from(start)
 
 
-def _perms_from(start: list) -> Iterator[tuple]:
+def _perms_from(start: list, lo: int = 0) -> Iterator[tuple]:
     # Lexicographic successor loop on a working list; O(1) amortized extra
-    # work per permutation.
+    # work per permutation.  The first ``lo`` letters stay fixed.
     w = list(start)
     n = len(w)
     while True:
         yield tuple(w)
         i = n - 2
-        while i >= 0 and w[i] >= w[i + 1]:
+        while i >= lo and w[i] >= w[i + 1]:
             i -= 1
-        if i < 0:
+        if i < lo:
             return
         j = n - 1
         while w[j] <= w[i]:
@@ -175,10 +180,7 @@ def enumerate_classes(
     canonical representatives.  Raises ClassTooLargeError before yielding
     anything if the class exceeds ``limit``.
     """
-    check_aligned(alphabet, parikh)
-    size = exact_class_count(parikh)
-    if size > limit:
-        raise ClassTooLargeError(size, limit)
+    _class_size(alphabet, parikh, limit)
 
     def gen() -> Iterator[CanonicalWord]:
         for w in multiset_permutations(alphabet.letters, parikh.counts):
@@ -186,6 +188,25 @@ def enumerate_classes(
                 yield CanonicalWord._trusted(w)
 
     return gen()
+
+
+def _members(letters: Sequence[int], counts: Sequence[int], prefix: tuple = ()) -> Iterator[tuple]:
+    """Yield (w, K(w)) for each class member w <= reversed(w) starting with ``prefix``.
+
+    Each reversal class arrives once, at its canonical representative, in
+    lexicographic order.  K is ``core.continuant``'s recursion without its
+    letter check: class letters are already validated.
+    """
+    rest = list(counts)
+    for a in prefix:
+        rest[letters.index(a)] -= 1
+    tail = sorted(a for a, p in zip(letters, rest) for _ in range(p))
+    for w in _perms_from(list(prefix) + tail, len(prefix)):
+        if w <= w[::-1]:
+            prev, cur = 0, 1
+            for a in w:
+                prev, cur = cur, a * cur + prev
+            yield w, cur
 
 
 # ---------------------------------------------------------------------------
@@ -200,32 +221,24 @@ def _scan_shard(args) -> tuple[int, dict, dict]:
     ``value_budget``; with the empty prefix that is the whole class's table.
     """
     letters, counts, prefix, words_per_value, value_budget = args
-    remaining = list(counts)
-    for a in prefix:
-        remaining[letters.index(a)] -= 1
     table: dict = {}
     words: dict = {}
     classes = 0
-    for rest in multiset_permutations(letters, remaining):
-        w = prefix + rest
-        if w <= w[::-1]:
-            prev, cur = 0, 1
-            for a in w:
-                prev, cur = cur, a * cur + prev
-            classes += 1
-            seen = table.get(cur)
-            if seen is None:
-                table[cur] = 1
-                if len(table) > value_budget:
-                    raise ValueBudgetExceededError(len(table), value_budget, classes)
-            else:
-                table[cur] = seen + 1
-            if words_per_value:
-                got = words.get(cur)
-                if got is None:
-                    words[cur] = [w]
-                elif len(got) < words_per_value:
-                    got.append(w)
+    for w, cur in _members(letters, counts, prefix):
+        classes += 1
+        seen = table.get(cur)
+        if seen is None:
+            table[cur] = 1
+            if len(table) > value_budget:
+                raise ValueBudgetExceededError(len(table), value_budget, classes)
+        else:
+            table[cur] = seen + 1
+        if words_per_value:
+            got = words.get(cur)
+            if got is None:
+                words[cur] = [w]
+            elif len(got) < words_per_value:
+                got.append(w)
     return classes, table, words
 
 
@@ -290,11 +303,7 @@ def _value_table(
     INT64_MIN_CLASSES members whose values fit int64 run the NumPy kernel
     when NumPy imports; the rest run the stdlib loop.
     """
-    check_aligned(alphabet, parikh)
-    size = exact_class_count(parikh)
-    if size > limit:
-        raise ClassTooLargeError(size, limit)
-
+    size = _class_size(alphabet, parikh, limit)
     letters, counts = alphabet.letters, parikh.counts
     if size >= INT64_MIN_CLASSES and _fits_int64(letters, counts):
         np = _numpy()
@@ -311,13 +320,6 @@ def _value_table(
 # ---------------------------------------------------------------------------
 # Exact int64 kernel (optional NumPy)
 # ---------------------------------------------------------------------------
-
-def _multinomial(counts: Sequence[int]) -> int:
-    out = math.factorial(sum(counts))
-    for p in counts:
-        out //= math.factorial(p)
-    return out
-
 
 def _grow(np, let, state, depth):
     """Extend every prefix by each letter it has left, children in lex order."""
@@ -525,7 +527,6 @@ def run_census(
     workers: int = 1,
     limit: int = DEFAULT_CLASS_LIMIT,
     value_budget: int = DEFAULT_VALUE_BUDGET,
-    witness_top_k: int = WITNESS_TOP_K,
 ) -> CensusReport:
     """Census the class: evaluate K on every member and aggregate by value.
 
@@ -538,7 +539,7 @@ def run_census(
         limit=limit,
         value_budget=value_budget,
         words_per_value=WITNESS_WORDS_PER_VALUE,
-        witness_values=lambda t: _report_values(t, witness_top_k),
+        witness_values=lambda t: _report_values(t, WITNESS_TOP_K),
     )
     spectrum = Counter(table.values())
     witnesses = tuple(
@@ -573,11 +574,5 @@ def multiplicity_of(word: Sequence[int], *, limit: int = DEFAULT_CLASS_LIMIT) ->
     if len(w) == 0:
         return 1
     alphabet, parikh = abelian_class_of(w)
-    size = exact_class_count(parikh)
-    if size > limit:
-        raise ClassTooLargeError(size, limit)
-    hits = 0
-    for perm in multiset_permutations(alphabet.letters, parikh.counts):
-        if perm <= perm[::-1] and continuant(perm) == target:
-            hits += 1
-    return hits
+    _class_size(alphabet, parikh, limit)
+    return sum(1 for _, v in _members(alphabet.letters, parikh.counts) if v == target)

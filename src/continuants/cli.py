@@ -52,7 +52,6 @@ class RunConfig:
     precision_bits: int = bounds_mod.DEFAULT_PREC_BITS
     max_precision_bits: int = bounds_mod.MAX_PREC_BITS
     output_format: str = "plain"
-    witness_top_k: int = census_mod.WITNESS_TOP_K
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -66,8 +65,6 @@ class RunConfig:
                 f"maximum precision {self.max_precision_bits} is below the "
                 f"initial precision {self.precision_bits}"
             )
-        if self.witness_top_k < 1:
-            raise ValueError(f"witness top-k must be positive, got {self.witness_top_k}")
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -291,7 +288,6 @@ def _cmd_census(args: argparse.Namespace, config: RunConfig) -> int:
         parikh,
         workers=config.workers,
         limit=config.enumeration_limit,
-        witness_top_k=config.witness_top_k,
     )
     spectrum_cell = ";".join(f"{mu}:{cnt}" for mu, cnt in report.spectrum)
     _emit(

@@ -146,10 +146,6 @@ class Alphabet:
             )
 
     @classmethod
-    def from_letters(cls, letters: Iterable[int]) -> "Alphabet":
-        return cls(tuple(letters))
-
-    @classmethod
     def from_lacunary(cls, t: int, l: int, s: int, low: Iterable[int]) -> "Alphabet":
         shape = LacunaryShape(t, l, s, tuple(low))
         return cls(shape.letters, shape)
@@ -157,9 +153,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.letters)
-
-    def index_of(self, letter: int) -> int:
-        return self.letters.index(letter)
 
     @property
     def text(self) -> str:

@@ -19,15 +19,18 @@ one contiguous run a_1^{p_1} in the middle.  For the full alphabet
     s (s-1)^{m-1} (s-2) ... 1 1^{m-1} ... (s-2)^{m-1} (s-1) s^{m-1}.
 
 The construction is verified against a brute-force oracle rather than
-trusted: :func:`brute_force_extrema` enumerates the class exhaustively.
+trusted: :func:`brute_force_extrema` evaluates K on every reversal class
+through the census kernel ``census._members``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import DEFAULT_CLASS_LIMIT, ClassTooLargeError, exact_class_count, multiset_permutations
-from .core import Alphabet, CanonicalWord, ParikhVector, Word, canonicalize, check_aligned, continuant
+from .census import DEFAULT_CLASS_LIMIT, _class_size, _members
+# Unused here; perfbench/layers.py counts the yields of extremal.multiset_permutations.
+from .census import multiset_permutations
+from .core import Alphabet, CanonicalWord, ParikhVector, Word, canonicalize, check_aligned
 
 
 @dataclass(frozen=True)
@@ -78,21 +81,15 @@ def brute_force_extrema(
 ) -> ExtremalResult:
     """Exhaustive extremal oracle: evaluate K on the whole class.
 
-    Enumerates every permutation, tracks the extreme values and all words
-    attaining them, and reports the attaining reversal classes as
-    deduplicated canonical words.
+    The census kernel ``_members`` yields each reversal class once, as its
+    canonical word in lexicographic order; the extreme values are kept with
+    every class attaining them, so argmax and argmin come out sorted.
     """
-    check_aligned(alphabet, parikh)
-    size = exact_class_count(parikh)
-    if size > limit:
-        raise ClassTooLargeError(size, limit)
+    _class_size(alphabet, parikh, limit)
     best = worst = None
     best_words: list[tuple] = []
     worst_words: list[tuple] = []
-    for w in multiset_permutations(alphabet.letters, parikh.counts):
-        prev, cur = 0, 1
-        for a in w:
-            prev, cur = cur, a * cur + prev
+    for w, cur in _members(alphabet.letters, parikh.counts):
         if best is None or cur > best:
             best, best_words = cur, [w]
         elif cur == best:
@@ -101,8 +98,8 @@ def brute_force_extrema(
             worst, worst_words = cur, [w]
         elif cur == worst:
             worst_words.append(w)
-    argmax = tuple(sorted(set(canonicalize(w) for w in best_words)))
-    argmin = tuple(sorted(set(canonicalize(w) for w in worst_words)))
+    argmax = tuple(CanonicalWord._trusted(w) for w in best_words)
+    argmin = tuple(CanonicalWord._trusted(w) for w in worst_words)
     return ExtremalResult(argmax=argmax, argmin=argmin, max_value=best, min_value=worst)
 
 

@@ -19,6 +19,7 @@ from continuants import (
     ClassTooLargeError,
     ParikhVector,
     ValueBudgetExceededError,
+    brute_force_extrema,
     canonicalize,
     continuant,
     enumerate_classes,
@@ -249,6 +250,42 @@ class TestMultiplicityOf:
     @settings(max_examples=40, deadline=None)
     def test_reversal_soundness(self, w):
         assert multiplicity_of(w) == multiplicity_of(w[::-1])
+
+
+class TestMembers:
+    @given(small_classes(max_total=8))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_filtered_permutations(self, cls):
+        letters, counts = cls
+        for prefix in [()] + census._shard_prefixes(letters, counts):
+            expected = [
+                (w, continuant(w))
+                for w in multiset_permutations(letters, counts)
+                if w <= w[::-1] and w[: len(prefix)] == prefix
+            ]
+            assert list(census._members(letters, counts, prefix)) == expected
+
+
+def _class_word(a, p):
+    return [x for x, c in zip(a.letters, p.counts) for _ in range(c)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda a, p, limit: list(enumerate_classes(a, p, limit=limit)), id="enumerate_classes"),
+        pytest.param(lambda a, p, limit: run_census(a, p, limit=limit), id="run_census"),
+        pytest.param(lambda a, p, limit: brute_force_extrema(a, p, limit=limit), id="brute_force_extrema"),
+        pytest.param(lambda a, p, limit: multiplicity_of(_class_word(a, p), limit=limit), id="multiplicity_of"),
+    ],
+)
+def test_limit_gate_admits_exactly_the_class_size(call):
+    a, p = alpha(1, 2, 3), parikh(3, 3, 3)
+    size = exact_class_count(p)
+    call(a, p, size)
+    with pytest.raises(ClassTooLargeError) as info:
+        call(a, p, size - 1)
+    assert (info.value.class_size, info.value.limit) == (size, size - 1)
 
 
 class TestMultisetPermutations:

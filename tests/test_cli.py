@@ -259,7 +259,6 @@ class TestRunConfig:
         assert cfg.enumeration_limit == 10**8
         assert cfg.precision_bits == 128
         assert cfg.max_precision_bits == 4096
-        assert cfg.witness_top_k == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from continuants import (
     Alphabet,
@@ -17,7 +17,7 @@ from continuants import (
     verify_max_arrangement,
 )
 
-from helpers import small_classes
+from helpers import continuant_by_definition, small_classes
 
 
 def alpha(*letters):
@@ -121,6 +121,21 @@ class TestBruteForceOracle:
             assert sorted(w) == bag
             assert continuant(w) == r.min_value
         assert len(r.argmax) == 1  # uniqueness up to reversal
+
+    @given(small_classes(max_total=7))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_itertools_enumeration(self, cls):
+        # Independent route: the reversal quotient from itertools.permutations
+        # and canonicalize, valued by the literal recursion.
+        letters, counts = cls
+        bag = [a for a, p in zip(letters, counts) for _ in range(p)]
+        classes = {canonicalize(p) for p in itertools.permutations(bag)}
+        values = {w: continuant_by_definition(w) for w in classes}
+        hi, lo = max(values.values()), min(values.values())
+        r = brute_force_extrema(alpha(*letters), parikh(*counts))
+        assert (r.max_value, r.min_value) == (hi, lo)
+        assert r.argmax == tuple(sorted(w for w, v in values.items() if v == hi))
+        assert r.argmin == tuple(sorted(w for w, v in values.items() if v == lo))
 
 
 class TestVerifyMaxArrangement:
