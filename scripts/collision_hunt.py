@@ -26,14 +26,11 @@ def main() -> int:
     ap.add_argument("--alphabet", default="1,2,3,4", help="comma-separated letters")
     ap.add_argument("--budget", type=int, default=100_000, help="total classes to enumerate")
     ap.add_argument("--target-mu", type=int, default=2, help="exact multiplicity to collect")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     alphabet = Alphabet(tuple(parse_word(args.alphabet)))
     t0 = time.time()
-    result = exact_multiplicity_scan(
-        alphabet, args.target_mu, args.budget, workers=args.workers
-    )
+    result = exact_multiplicity_scan(alphabet, args.target_mu, args.budget)
     dt = time.time() - t0
 
     print(f"alphabet {alphabet.text}, target multiplicity {args.target_mu}")
@@ -54,7 +51,7 @@ def main() -> int:
         print(f"    value {rec.value}  word {rec.word.text}")
     print(f"\ntotal witnesses: {len(result.records)}")
 
-    best = find_witness(alphabet, result.records[-1].parikh, 2, workers=args.workers)
+    best = find_witness(alphabet, result.records[-1].parikh, 2)
     if best is not None:
         print(f"smallest colliding value in the last class: {best.value} at {best.word.text}")
     return 0

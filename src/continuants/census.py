@@ -23,8 +23,7 @@ is importable and every value provably fits in int64 (``_fits_int64``),
 large classes go to an exact int64 kernel that enumerates all arrangements
 breadth-first in prefix chunks of bounded size.  Every other class runs the
 stdlib kernel, which is the reference.  Both kernels return identical tables
-and witness words.  No path starts a process, so reports and the value
-budget do not depend on the ``workers`` argument.
+and witness words.  No path starts a process.
 """
 
 from __future__ import annotations
@@ -284,7 +283,7 @@ def _value_table(
     alphabet: Alphabet,
     parikh: ParikhVector,
     *,
-    workers: int = 1,
+    workers: int = 1,  # unused; perfbench/layers.py _probe_tables still passes it
     limit: int = DEFAULT_CLASS_LIMIT,
     value_budget: int = DEFAULT_VALUE_BUDGET,
     words_per_value: int = 0,
@@ -296,8 +295,7 @@ def _value_table(
     whose words are returned, in the order of the returned dict; by default
     every value.  Each gets its first ``words_per_value`` canonical words in
     lexicographic order.  The result is the same for fixed inputs whichever
-    kernel runs.  ``workers`` is accepted for compatibility and has no
-    effect: every path runs in this process.
+    kernel runs.
 
     The kernel is chosen here, from the input alone: classes of at least
     INT64_MIN_CLASSES members whose values fit int64 run the NumPy kernel
@@ -492,9 +490,6 @@ class CensusReport:
     def n(self) -> int:
         return self.parikh.n
 
-    def spectrum_dict(self) -> dict[int, int]:
-        return dict(self.spectrum)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -524,18 +519,13 @@ def run_census(
     alphabet: Alphabet,
     parikh: ParikhVector,
     *,
-    workers: int = 1,
     limit: int = DEFAULT_CLASS_LIMIT,
     value_budget: int = DEFAULT_VALUE_BUDGET,
 ) -> CensusReport:
-    """Census the class: evaluate K on every member and aggregate by value.
-
-    ``workers`` is accepted for compatibility and has no effect.
-    """
+    """Census the class: evaluate K on every member and aggregate by value."""
     classes, table, words = _value_table(
         alphabet,
         parikh,
-        workers=workers,
         limit=limit,
         value_budget=value_budget,
         words_per_value=WITNESS_WORDS_PER_VALUE,

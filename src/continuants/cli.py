@@ -9,10 +9,10 @@ Every subcommand prints machine-readable output in one of three formats
     4  certified-comparison precision exhausted
 
 Global flags may also be supplied through environment variables with the
-CONTINUANTS_ prefix (CONTINUANTS_WORKERS, CONTINUANTS_LIMIT,
-CONTINUANTS_PRECISION, CONTINUANTS_FORMAT); explicit flags win over the
-environment.  --workers is validated but has no effect: every command runs
-in one process.
+CONTINUANTS_ prefix (CONTINUANTS_LIMIT, CONTINUANTS_PRECISION,
+CONTINUANTS_FORMAT); explicit flags win over the environment.  --workers
+must be a positive integer and has no effect: every command runs in one
+process.  It is still accepted so that existing command lines keep working.
 """
 
 from __future__ import annotations
@@ -47,15 +47,12 @@ FORMATS = ("plain", "json", "csv")
 class RunConfig:
     """Bundled run-time knobs shared by all subcommands."""
 
-    workers: int
     enumeration_limit: int = census_mod.DEFAULT_CLASS_LIMIT
     precision_bits: int = bounds_mod.DEFAULT_PREC_BITS
     max_precision_bits: int = bounds_mod.MAX_PREC_BITS
     output_format: str = "plain"
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
         if self.enumeration_limit < 1:
             raise ValueError(f"enumeration limit must be positive, got {self.enumeration_limit}")
         if self.precision_bits < 1:
@@ -133,17 +130,14 @@ def _add_class_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--parikh", required=True, help="comma-separated occurrence counts")
 
 
-def _int_setting(flag: int | None, name: str) -> int | None:
-    """An integer flag's value, else its environment variable's, else None."""
-    if flag is not None:
-        return flag
-    text = _env(name)
-    return None if text is None else _parse_int(text, ENV_PREFIX + name)
-
-
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    workers = _int_setting(args.workers, "WORKERS")
-    limit = _int_setting(args.limit, "LIMIT")
+    limit = args.limit
+    if limit is None:
+        limit_text = _env("LIMIT")
+        if limit_text is None:
+            limit = census_mod.DEFAULT_CLASS_LIMIT
+        else:
+            limit = _parse_int(limit_text, ENV_PREFIX + "LIMIT")
     precision_text, precision_what = args.precision, "precision"
     if precision_text is None:
         precision_text, precision_what = _env("PRECISION"), ENV_PREFIX + "PRECISION"
@@ -153,17 +147,14 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             f"invalid {ENV_PREFIX}FORMAT: {format_text!r} is not one of {', '.join(FORMATS)}"
         )
 
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if limit is None:
-        limit = census_mod.DEFAULT_CLASS_LIMIT
     if precision_text is not None:
         prec, max_prec = _parse_precision(precision_text, precision_what)
     else:
         prec, max_prec = bounds_mod.DEFAULT_PREC_BITS, bounds_mod.MAX_PREC_BITS
     fmt = format_text if format_text is not None else "plain"
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"workers must be positive, got {args.workers}")
     return RunConfig(
-        workers=workers,
         enumeration_limit=limit,
         precision_bits=prec,
         max_precision_bits=max_prec,
@@ -283,12 +274,7 @@ def _census_plain(report) -> list[str]:
 def _cmd_census(args: argparse.Namespace, config: RunConfig) -> int:
     alphabet = _parse_alphabet(args)
     parikh = _parse_parikh(args.parikh)
-    report = census_mod.run_census(
-        alphabet,
-        parikh,
-        workers=config.workers,
-        limit=config.enumeration_limit,
-    )
+    report = census_mod.run_census(alphabet, parikh, limit=config.enumeration_limit)
     spectrum_cell = ";".join(f"{mu}:{cnt}" for mu, cnt in report.spectrum)
     _emit(
         config,
@@ -344,6 +330,13 @@ def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _witness_plain(r) -> str:
+    return (
+        f"word={format_word(r.word)} value={r.value} multiplicity={r.multiplicity} "
+        f"parikh={r.parikh.text}"
+    )
+
+
 def _witness_rows(records) -> list[list]:
     return [
         [r.alphabet.text, r.parikh.text, format_word(r.word), str(r.value), r.multiplicity]
@@ -372,28 +365,16 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
             for m in range(m_start, m_end + 1):
                 parikh = ParikhVector.equipartitioned(alphabet.size, m)
                 rec = explorer_mod.find_witness(
-                    alphabet,
-                    parikh,
-                    args.target_mu,
-                    workers=config.workers,
-                    limit=config.enumeration_limit,
+                    alphabet, parikh, args.target_mu, limit=config.enumeration_limit
                 )
                 if rec is not None:
                     records.append(rec)
             doc = {"witnesses": [r.to_json_dict() for r in records]}
-            plain = [
-                f"word={format_word(r.word)} value={r.value} multiplicity={r.multiplicity} "
-                f"parikh={r.parikh.text}"
-                for r in records
-            ] or ["no witnesses found"]
+            plain = [_witness_plain(r) for r in records] or ["no witnesses found"]
             _emit(config, doc, plain, witness_header, _witness_rows(records))
             return EXIT_OK
         entries = explorer_mod.growing_multiplicity_scan(
-            alphabet,
-            m_start,
-            m_end,
-            workers=config.workers,
-            limit=config.enumeration_limit,
+            alphabet, m_start, m_end, limit=config.enumeration_limit
         )
         doc = {
             "entries": [
@@ -414,11 +395,7 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
 
     target = args.target_mu if args.target_mu is not None else 2
     result = explorer_mod.exact_multiplicity_scan(
-        alphabet,
-        target,
-        args.budget,
-        workers=config.workers,
-        limit=config.enumeration_limit,
+        alphabet, target, args.budget, limit=config.enumeration_limit
     )
     doc = {
         "witnesses": [r.to_json_dict() for r in result.records],
@@ -426,11 +403,7 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
         "parikhs_scanned": result.parikhs_scanned,
         "budget_exhausted": result.budget_exhausted,
     }
-    plain = [
-        f"word={format_word(r.word)} value={r.value} multiplicity={r.multiplicity} "
-        f"parikh={r.parikh.text}"
-        for r in result.records
-    ]
+    plain = [_witness_plain(r) for r in result.records]
     summary = (
         f"scanned {result.classes_scanned} classes over {result.parikhs_scanned} Parikh vectors"
     )

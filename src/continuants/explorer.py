@@ -7,8 +7,6 @@ fully deterministic, with tie-breaks fixed as: smallest word length, then
 lexicographically smallest Parikh vector, then smallest value, then
 lexicographically smallest word.  Whether small classes contain collisions
 at all is an empirical question this module exists to answer.
-
-The ``workers`` keyword of each search is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -50,11 +48,10 @@ class ExactSearchResult:
     budget_exhausted: bool
 
 
-def _table(alphabet, parikh, workers, limit, value_budget, witness_values):
+def _table(alphabet, parikh, limit, value_budget, witness_values):
     return _value_table(
         alphabet,
         parikh,
-        workers=workers,
         limit=limit,
         value_budget=value_budget,
         words_per_value=1,
@@ -77,7 +74,6 @@ def find_witness(
     parikh: ParikhVector,
     target_mu: int,
     *,
-    workers: int = 1,
     limit: int = DEFAULT_CLASS_LIMIT,
     value_budget: int = DEFAULT_VALUE_BUDGET,
 ) -> WitnessRecord | None:
@@ -94,7 +90,7 @@ def find_witness(
         hits = [v for v, c in table.items() if c >= target_mu]
         return [min(hits)] if hits else []
 
-    _, table, first_words = _table(alphabet, parikh, workers, limit, value_budget, smallest_hit)
+    _, table, first_words = _table(alphabet, parikh, limit, value_budget, smallest_hit)
     if not first_words:
         return None
     return _record(alphabet, parikh, table, first_words, next(iter(first_words)))
@@ -105,7 +101,6 @@ def growing_multiplicity_scan(
     m_start: int,
     m_end: int,
     *,
-    workers: int = 1,
     limit: int = DEFAULT_CLASS_LIMIT,
     value_budget: int = DEFAULT_VALUE_BUDGET,
 ) -> list[tuple[int, int, WitnessRecord]]:
@@ -125,7 +120,7 @@ def growing_multiplicity_scan(
     out = []
     for m in range(m_start, m_end + 1):
         parikh = ParikhVector.equipartitioned(alphabet.size, m)
-        _, table, first_words = _table(alphabet, parikh, workers, limit, value_budget, smallest_top)
+        _, table, first_words = _table(alphabet, parikh, limit, value_budget, smallest_top)
         record = _record(alphabet, parikh, table, first_words, next(iter(first_words)))
         out.append((m, record.multiplicity, record))
     return out
@@ -146,7 +141,6 @@ def exact_multiplicity_scan(
     target_mu: int,
     budget: int,
     *,
-    workers: int = 1,
     limit: int = DEFAULT_CLASS_LIMIT,
     value_budget: int = DEFAULT_VALUE_BUDGET,
 ) -> ExactSearchResult:
@@ -178,7 +172,7 @@ def exact_multiplicity_scan(
             if scanned + size > budget:
                 exhausted = True
                 break
-            _, table, first_words = _table(alphabet, parikh, workers, limit, value_budget, exact_hits)
+            _, table, first_words = _table(alphabet, parikh, limit, value_budget, exact_hits)
             scanned += size
             parikhs += 1
             records.extend(_record(alphabet, parikh, table, first_words, v) for v in first_words)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from continuants import census
 from continuants import (
     Alphabet,
     ClassTooLargeError,
@@ -72,10 +73,15 @@ def test_criterion_1_extremal_correctness_sweep(capsys):
     report(capsys, f"criterion 1 (extremal sweep): PASS on {pairs} alphabet/Parikh pairs")
 
 
-def test_criterion_2_desk_census_golden(capsys):
+def test_criterion_2_desk_census_golden(capsys, monkeypatch):
     a, p = Alphabet((1, 2)), ParikhVector((2, 2))
-    single = run_census(a, p, workers=1)
-    eight = run_census(a, p, workers=8)
+    single = run_census(a, p)  # 4 classes, below INT64_MIN_CLASSES: the stdlib kernel
+    int64_runs = []
+    kernel = census._int64_table
+    monkeypatch.setattr(census, "_int64_table", lambda *args: int64_runs.append(args) or kernel(*args))
+    monkeypatch.setattr(census, "INT64_MIN_CLASSES", 0)
+    fast = run_census(a, p)
+    assert len(int64_runs) == (0 if census._numpy() is None else 1)
     assert single.class_size == 4
     assert single.distinct_values == 4
     values = {w.value for w in single.witnesses}
@@ -83,9 +89,10 @@ def test_criterion_2_desk_census_golden(capsys):
     assert single.max_value == 13
     top = [w for w in single.witnesses if w.value == 13]
     assert [tuple(x) for x in top[0].words] == [(2, 1, 1, 2)]
-    assert single == eight
-    assert json.dumps(single.to_json_dict()) == json.dumps(eight.to_json_dict())
-    report(capsys, "criterion 2 (desk census golden): PASS, bit-identical under 1 and 8 workers")
+    assert single == fast
+    assert json.dumps(single.to_json_dict()) == json.dumps(fast.to_json_dict())
+    kernels = "the stdlib and int64 kernels" if int64_runs else "the stdlib kernel (no NumPy)"
+    report(capsys, f"criterion 2 (desk census golden): PASS, bit-identical on {kernels}")
 
 
 def test_criterion_3_constant_word_growth_claim(capsys):

@@ -231,7 +231,7 @@ class TestGlobalFlags:
         assert "2" in err
 
     @pytest.mark.parametrize(
-        "name", ["CONTINUANTS_WORKERS", "CONTINUANTS_LIMIT", "CONTINUANTS_PRECISION", "CONTINUANTS_FORMAT"]
+        "name", ["CONTINUANTS_LIMIT", "CONTINUANTS_PRECISION", "CONTINUANTS_FORMAT"]
     )
     def test_bad_env_value_names_the_variable(self, capsys, monkeypatch, name):
         monkeypatch.setenv(name, "abc")
@@ -252,20 +252,24 @@ class TestGlobalFlags:
         code, _, err = run(capsys, "bounds", "--t", "1", "--l", "1", "--precision", "512:64")
         assert code == EXIT_USAGE
 
+    def test_workers_must_be_positive(self, capsys):
+        code, out, err = run(capsys, "continuant", "1,2", "--workers", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: workers must be positive, got 0\n"
+
 
 class TestRunConfig:
     def test_defaults_are_positive(self):
-        cfg = RunConfig(workers=2)
+        cfg = RunConfig()
         assert cfg.enumeration_limit == 10**8
         assert cfg.precision_bits == 128
         assert cfg.max_precision_bits == 4096
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunConfig(workers=0)
+            RunConfig(enumeration_limit=0)
         with pytest.raises(ValueError):
-            RunConfig(workers=1, enumeration_limit=0)
+            RunConfig(precision_bits=256, max_precision_bits=128)
         with pytest.raises(ValueError):
-            RunConfig(workers=1, precision_bits=256, max_precision_bits=128)
-        with pytest.raises(ValueError):
-            RunConfig(workers=1, output_format="yaml")
+            RunConfig(output_format="yaml")
