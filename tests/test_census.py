@@ -392,11 +392,15 @@ class TestKernels:
 
 
 class TestOneProcess:
-    def test_value_budget_is_global(self, monkeypatch):
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_value_budget_is_global(self, monkeypatch, calls):
+        # The budget spans the whole class within one call and starts afresh
+        # on the next call in the same process.
         monkeypatch.setitem(sys.modules, "numpy", None)
-        with pytest.raises(ValueBudgetExceededError) as info:
-            run_census(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
-        assert (info.value.distinct_values_seen, info.value.classes_evaluated) == (20001, 33886)
+        for _ in range(calls):
+            with pytest.raises(ValueBudgetExceededError) as info:
+                run_census(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
+            assert (info.value.distinct_values_seen, info.value.classes_evaluated) == (20001, 33886)
 
     def test_no_process_is_started(self, monkeypatch):
         def refuse(*args, **kwargs):
