@@ -31,8 +31,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-# Unused here; perfbench/layers.py subclasses it to count pool start-ups.
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -268,6 +266,17 @@ def _fits_int64(letters: Sequence[int], counts: Sequence[int]) -> bool:
     for a, p in zip(letters, counts):
         bound *= (a + 1) ** p
     return bound < INT64_LIMIT
+
+
+def __getattr__(name: str):
+    # Unused here; perfbench/layers.py subclasses census.ProcessPoolExecutor to
+    # count pool start-ups.  Resolved on first access, because importing it
+    # loads multiprocessing (~20 ms and ~2 MB) into every command.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _numpy():

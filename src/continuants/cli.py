@@ -31,7 +31,7 @@ from . import explorer as explorer_mod
 from . import extremal as extremal_mod
 from .bounds import PrecisionExhaustedError
 from .census import ClassTooLargeError, ValueBudgetExceededError
-from .core import Alphabet, ParikhVector, continuant, format_word, parse_word
+from .core import Alphabet, ParikhVector, _parse_positive, continuant, format_word, parse_word
 
 ENV_PREFIX = "CONTINUANTS_"
 
@@ -102,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wmax", parents=[shared], help="build the maximizing arrangement")
     _add_class_flags(p)
-    p.add_argument("--verify", action="store_true", help="check against the brute-force oracle")
+    p.add_argument(
+        "--verify", action="store_true", help="check it is the unique maximum (exact Pareto-front oracle)"
+    )
 
     p = sub.add_parser("census", parents=[shared], help="census the continuant values of a class")
     _add_class_flags(p)
@@ -181,7 +183,7 @@ def _parse_alphabet(args: argparse.Namespace) -> Alphabet:
 
 
 def _parse_parikh(text: str) -> ParikhVector:
-    return ParikhVector(tuple(parse_word(text)))
+    return ParikhVector(tuple(_parse_positive(text, "Parikh count")))
 
 
 def _emit(config: RunConfig, doc: dict, plain_lines: list[str], header: list[str], rows: list[list]) -> None:

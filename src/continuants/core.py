@@ -319,15 +319,20 @@ def parse_word(text: str) -> Word:
     Whitespace around tokens is ignored.  Raises ValueError naming the
     offending token on anything that is not a positive decimal integer.
     """
+    return Word(_parse_positive(text, "word token"))
+
+
+def _parse_positive(text: str, what: str) -> list[int]:
+    """Comma-separated positive integers; ValueError names the bad token as ``what``."""
     if text.strip() == "":
-        return Word()
-    letters = []
+        return []
+    out = []
     for token in text.split(","):
         tok = token.strip()
         if not tok.isdigit() or int(tok) < 1:
-            raise ValueError(f"invalid word token {token.strip()!r}: expected a positive integer")
-        letters.append(int(tok))
-    return Word(letters)
+            raise ValueError(f"invalid {what} {tok!r}: expected a positive integer")
+        out.append(int(tok))
+    return out
 
 
 def format_word(letters: Sequence[int]) -> str:

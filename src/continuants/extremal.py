@@ -18,9 +18,14 @@ one contiguous run a_1^{p_1} in the middle.  For the full alphabet
 
     s (s-1)^{m-1} (s-2) ... 1 1^{m-1} ... (s-2)^{m-1} (s-1) s^{m-1}.
 
-The construction is verified against a brute-force oracle rather than
-trusted: :func:`brute_force_extrema` evaluates K on every reversal class
-through the census kernel ``census._members``.
+The construction is checked rather than trusted, by two oracles.
+:func:`pareto_max` is exact on classes far past enumeration: a dynamic
+program over the remaining letter counts that keeps, per count vector,
+only the Pareto front of (K(prefix), K(prefix minus its last letter))
+pairs.  It shares no code with the census, and :func:`verify_max_arrangement`
+runs on it.  :func:`brute_force_extrema` is the small-class reference: it
+evaluates K on every reversal class through the census kernel
+``census._members``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from .census import DEFAULT_CLASS_LIMIT, _class_size, _members
 # Unused here; perfbench/layers.py counts the yields of extremal.multiset_permutations.
 from .census import multiset_permutations
-from .core import Alphabet, CanonicalWord, ParikhVector, Word, canonicalize, check_aligned
+from .core import Alphabet, CanonicalWord, ParikhVector, Word, check_aligned, continuant
 
 
 @dataclass(frozen=True)
@@ -103,16 +108,71 @@ def brute_force_extrema(
     return ExtremalResult(argmax=argmax, argmin=argmin, max_value=best, min_value=worst)
 
 
+def pareto_max(alphabet: Alphabet, parikh: ParikhVector) -> tuple[int, int]:
+    """Exact maximum of K over the class, and how many arrangements attain it.
+
+    The count is over raw arrangements, so a unique maximum up to reversal
+    gives 1 for a palindrome and 2 otherwise.  The dynamic program places
+    one letter per step.  A prefix enters every later value only through its
+    pair (cur, prev) = (K(prefix), K(prefix minus its last letter)): by the
+    splitting identity, ``K(prefix + suffix) = cur * K(suffix) + prev *
+    K(suffix minus its first letter)``, and both factors are >= 1 for a
+    nonempty suffix.  So a pair that another pair with the same remaining
+    counts dominates can never reach the maximum, and each count vector
+    keeps only its non-dominated pairs.  The last step has an empty suffix,
+    where prev no longer matters, so it is not pruned.
+
+    Each pair stands for exactly one prefix: cur/prev is the continued
+    fraction [w_k; w_{k-1}, ..., w_1] in lowest terms, and the two
+    expansions of a rational differ in length, so prefixes of one length
+    never share a pair.  The maximum's arrangements are counted as its
+    pairs.  No class is enumerated and no limit applies: the cost follows
+    the number of count vectors, prod(p_i + 1), times the front sizes.
+    """
+    check_aligned(alphabet, parikh)
+    letters = alphabet.letters
+    points = {parikh.counts: {(1, 0)}}
+    for _ in range(parikh.n):
+        level, points = points, {}
+        while level:  # frees each vector's points once expanded
+            rest, pts = level.popitem()
+            front = _front(pts)
+            for i, a in enumerate(letters):
+                if rest[i]:
+                    child = points.setdefault(rest[:i] + (rest[i] - 1,) + rest[i + 1:], set())
+                    child.update((a * cur + prev, cur) for cur, prev in front)
+    (last,) = points.values()
+    best = max(cur for cur, _ in last)
+    return best, sum(1 for cur, _ in last if cur == best)
+
+
+def _front(points: set) -> list[tuple[int, int]]:
+    """The non-dominated (cur, prev) points, cur descending."""
+    front = []
+    top_prev = -1
+    for cur, prev in sorted(points, reverse=True):
+        if prev > top_prev:
+            front.append((cur, prev))
+            top_prev = prev
+    return front
+
+
 def verify_max_arrangement(
     alphabet: Alphabet,
     parikh: ParikhVector,
     *,
     limit: int = DEFAULT_CLASS_LIMIT,
 ) -> bool:
-    """True iff the built arrangement is the unique brute-force argmax."""
-    built = canonicalize(max_arrangement(alphabet, parikh))
-    oracle = brute_force_extrema(alphabet, parikh, limit=limit)
-    return oracle.argmax == (built,)
+    """True iff the built arrangement is the unique maximum up to reversal.
+
+    The check runs on :func:`pareto_max`: the built word must attain its
+    maximum, on 1 arrangement if the word is a palindrome and on 2 (the
+    word and its reversal) otherwise.  Classes over ``limit`` members up to
+    reversal raise ClassTooLargeError, as the brute-force oracle would.
+    """
+    _class_size(alphabet, parikh, limit)
+    built = max_arrangement(alphabet, parikh)
+    return pareto_max(alphabet, parikh) == (continuant(built), 1 if built.is_palindrome() else 2)
 
 
 def rank_pattern(alphabet: Alphabet, parikh: ParikhVector) -> tuple[int, ...]:

@@ -20,6 +20,8 @@ from continuants import (
     Alphabet,
     ClassTooLargeError,
     ParikhVector,
+    brute_force_extrema,
+    canonicalize,
     class_count_lower_bound,
     continuant,
     doubling_bound_check,
@@ -34,7 +36,6 @@ from continuants import (
     split_identity,
     stirling_enclosure,
     value_count_upper_bound,
-    verify_max_arrangement,
 )
 
 mpmath.mp.dps = 60
@@ -58,13 +59,17 @@ def report(capsys, line):
 def test_criterion_1_extremal_correctness_sweep(capsys):
     # Every alphabet inside {1..6} with 2..4 letters, every Parikh vector
     # with n <= 10: the built arrangement is the unique brute-force argmax.
+    # The brute-force oracle is called directly, because
+    # verify_max_arrangement runs on the Pareto-front oracle.
     pairs = 0
     for size in (2, 3, 4):
         for letters in itertools.combinations(range(1, 7), size):
             alphabet = Alphabet(letters)
             for n in range(size, 11):
                 for counts in compositions(n, size):
-                    assert verify_max_arrangement(alphabet, ParikhVector(counts)), (
+                    parikh = ParikhVector(counts)
+                    built = canonicalize(max_arrangement(alphabet, parikh))
+                    assert brute_force_extrema(alphabet, parikh).argmax == (built,), (
                         letters,
                         counts,
                     )

@@ -29,6 +29,7 @@ from continuants import (
     multiset_permutations,
     palindromic_count,
     run_census,
+    verify_max_arrangement,
 )
 
 from helpers import small_classes, words
@@ -269,6 +270,9 @@ def _class_word(a, p):
         pytest.param(lambda a, p, limit: list(enumerate_classes(a, p, limit=limit)), id="enumerate_classes"),
         pytest.param(lambda a, p, limit: run_census(a, p, limit=limit), id="run_census"),
         pytest.param(lambda a, p, limit: brute_force_extrema(a, p, limit=limit), id="brute_force_extrema"),
+        pytest.param(
+            lambda a, p, limit: verify_max_arrangement(a, p, limit=limit), id="verify_max_arrangement"
+        ),
         pytest.param(lambda a, p, limit: multiplicity_of(_class_word(a, p), limit=limit), id="multiplicity_of"),
     ],
 )

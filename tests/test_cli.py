@@ -7,7 +7,7 @@ import json
 import pytest
 
 from continuants.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, RunConfig, main
-from continuants import parse_word
+from continuants import exact_class_count, parse_word
 
 
 def run(capsys, *argv):
@@ -70,6 +70,14 @@ class TestWmaxCommand:
         lines = out.strip().splitlines()
         assert lines == ["3,2,1,1,2,3", "verified"]
 
+    def test_verify_keeps_the_limit_gate(self, capsys):
+        argv = ("wmax", "--alphabet", "1,2,3", "--parikh", "9,9,9")
+        code, out, err = run(capsys, *argv, "--verify")
+        assert (code, out) == (EXIT_LIMIT, "")
+        assert str(exact_class_count((9, 9, 9))) in err
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+
     def test_round_trip(self, capsys):
         _, out, _ = run(capsys, "wmax", "--alphabet", "2,5,9", "--parikh", "3,1,2")
         word = parse_word(out.strip())
@@ -83,6 +91,14 @@ class TestWmaxCommand:
     def test_zero_count(self, capsys):
         code, _, err = run(capsys, "wmax", "--alphabet", "1,2", "--parikh", "2,0")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["wmax", "census"])
+    @pytest.mark.parametrize("token", ["x", "0", "-1"])
+    def test_bad_parikh_token_names_a_count(self, capsys, command, token):
+        code, out, err = run(capsys, command, "--alphabet", "1,2", "--parikh", f"2,{token}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: invalid Parikh count {token!r}: expected a positive integer\n"
 
     def test_lacunary_alphabet(self, capsys):
         code, out, _ = run(

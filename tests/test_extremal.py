@@ -1,18 +1,21 @@
-"""The maximizing arrangement against the brute-force oracle."""
+"""The maximizing arrangement against the Pareto-front and brute-force oracles."""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from continuants import (
     Alphabet,
     ClassTooLargeError,
     ParikhVector,
+    Word,
     brute_force_extrema,
     canonicalize,
     continuant,
+    extremal,
     max_arrangement,
+    pareto_max,
     rank_pattern,
     verify_max_arrangement,
 )
@@ -157,3 +160,75 @@ class TestVerifyMaxArrangement:
                         letters,
                         counts,
                     )
+
+
+def unique_max(a, p):
+    """pareto_max's figures if max_arrangement is the unique maximum up to reversal."""
+    built = max_arrangement(a, p)
+    return continuant(built), 1 if built.is_palindrome() else 2
+
+
+class TestParetoMax:
+    def test_examples(self):
+        assert pareto_max(alpha(1, 2), parikh(2, 2)) == (13, 1)  # 2,1,1,2
+        assert pareto_max(alpha(1, 2, 3), parikh(1, 1, 1)) == (11, 2)  # 3,1,2 and 2,1,3
+        assert pareto_max(alpha(7,), parikh(3,)) == (continuant((7, 7, 7)), 1)
+
+    @given(small_classes(max_total=7))
+    @example(((4,), (1,)))
+    @example(((2,), (4,)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, cls):
+        letters, counts = cls
+        a, p = alpha(*letters), parikh(*counts)
+        r = brute_force_extrema(a, p)
+        attaining = sum(1 if w.is_palindrome() else 2 for w in r.argmax)
+        assert pareto_max(a, p) == (r.max_value, attaining)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            pareto_max(alpha(1, 2, 3), parikh(1, 1))
+
+    def test_a_pair_identifies_its_prefix(self):
+        # pareto_max counts arrangements as distinct (cur, prev) pairs.
+        for n in range(1, 7):
+            words = list(itertools.product(range(1, 5), repeat=n))
+            pairs = {(continuant(w), continuant(w[:-1])) for w in words}
+            assert len(pairs) == len(words)
+
+    def test_unique_max_on_six_letters_past_enumeration(self):
+        # N = 18!/(3!)^6 / 2 ~ 3.4e10 reversal classes; no limit applies.
+        a, p = Alphabet(tuple(range(1, 7))), ParikhVector.equipartitioned(6, 3)
+        assert pareto_max(a, p) == unique_max(a, p)
+
+    def test_three_letter_classes_of_length_11_and_12(self):
+        # Past the n <= 10 brute-force sweep of criterion 1; about 1.5 s.
+        classes = 0
+        for letters in itertools.combinations(range(1, 7), 3):
+            for counts in itertools.product(range(1, 11), repeat=3):
+                if sum(counts) in (11, 12):
+                    a, p = alpha(*letters), parikh(*counts)
+                    assert pareto_max(a, p) == unique_max(a, p), (letters, counts)
+                    classes += 1
+        assert classes == 2000
+
+
+class TestVerifyVerdict:
+    def test_a_non_maximal_word_fails(self, monkeypatch):
+        a, p = alpha(1, 2, 3), parikh(2, 1, 2)
+        monkeypatch.setattr(extremal, "max_arrangement", lambda a, p: Word((1, 1, 2, 3, 3)))
+        assert not verify_max_arrangement(a, p)
+
+    def test_the_reversal_of_the_built_word_passes(self, monkeypatch):
+        a, p = alpha(1, 2, 3), parikh(2, 1, 2)
+        built = max_arrangement(a, p)
+        assert not built.is_palindrome()
+        monkeypatch.setattr(extremal, "max_arrangement", lambda a, p: built.reversal())
+        assert verify_max_arrangement(a, p)
+
+    def test_a_second_maximal_palindrome_fails(self, monkeypatch):
+        # Two maximal palindromes would also attain the maximum twice.
+        a, p = alpha(1, 2), parikh(2, 2)
+        assert max_arrangement(a, p).is_palindrome()
+        monkeypatch.setattr(extremal, "pareto_max", lambda a, p: (13, 2))
+        assert not verify_max_arrangement(a, p)
