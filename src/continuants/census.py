@@ -6,30 +6,33 @@ once per reversal pair, evaluates the continuant on every member, and
 reports the class size N, the number of distinct values P, the multiplicity
 spectrum (how many values are hit exactly mu times), and witnesses.
 
-Enumeration is lexicographic next-multiset-permutation; a permutation is
-kept iff it is <= its reversal, which visits each reversal class exactly
-once (at its canonical representative, in lexicographic order) without any
-seen-set.  Values are keyed by exact integer equality, never by hash alone.
+``_members`` is the lexicographic reference: next-multiset-permutation
+keeps a permutation iff it is <= its reversal, so each reversal class
+arrives once, at its canonical representative, in lexicographic order,
+without any seen-set, and is yielded with its rolling continuant.
+``enumerate_classes`` streams the same words; ``multiplicity_of``, the
+census scan ``_scan_shard`` and the extremal oracle
+``extremal.brute_force_extrema`` run on it.
+``_class_size`` is the one enumeration limit gate, which every class-wide
+routine passes first.
 
-``_members`` is the one stdlib enumerate-and-evaluate kernel: it yields
-(w, K(w)) for each canonical member, optionally below a fixed prefix.  Its
-three users are the census scan ``_scan_shard``, ``multiplicity_of`` and
-the extremal oracle ``extremal.brute_force_extrema``.  ``_class_size`` is
-the one enumeration limit gate, which every class-wide routine passes first.
-
-Two kernels compute the value table, both in the calling process, and
-``_value_table`` alone picks one from what it sees in its input.  When NumPy
-is importable and every value provably fits in int64 (``_fits_int64``),
-large classes go to an exact int64 kernel that enumerates all arrangements
-breadth-first in prefix chunks of bounded size.  Every other class runs the
-stdlib kernel, which is the reference.  Both kernels return identical tables
-and witness words.  No path starts a process.
+``_value_table``, behind ``run_census`` and the explorer, is a
+meet-in-the-middle kernel (``_rows``): it splits each member into two
+halves, memoises the arrangements of every half count vector with their
+continuant pairs, and evaluates each reversal class once by the splitting
+identity, with no reversal comparison.  It shares that identity with
+``extremal.pareto_max``; the reference does not, so the oracles the tests
+compare it with stay independent of it.  Values are keyed by exact integer
+equality, and no path starts a process.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -54,18 +57,6 @@ DEFAULT_VALUE_BUDGET = 10**6
 WITNESS_TOP_K = 3
 WITNESS_VALUES_PER_MULT = 10
 WITNESS_WORDS_PER_VALUE = 10
-
-# Classes with fewer members up to reversal always run on the stdlib loop:
-# below it the NumPy import (~80 ms) does not pay for itself.  On a 2-vCPU
-# VM the int64 kernel overtook the stdlib loop at 14k-45k members in fresh
-# interpreters (BENCH_3.json), and this constant sits inside that band.
-INT64_MIN_CLASSES = 40_000
-
-# Arrangements per chunk of the int64 kernel, which bounds its working
-# memory whatever the class size.
-INT64_CHUNK_ROWS = 1 << 17
-
-INT64_LIMIT = 2**63
 
 
 class ClassTooLargeError(Exception):
@@ -253,21 +244,6 @@ def _shard_prefixes(letters: tuple, counts: tuple) -> list[tuple]:
     return prefixes
 
 
-def _fits_int64(letters: Sequence[int], counts: Sequence[int]) -> bool:
-    """True when the rolling loop stays below 2**63 on every arrangement.
-
-    For positive letters continuants never decrease along a word, so
-    K_j = a_j K_{j-1} + K_{j-2} <= (a_j + 1) K_{j-1}.  Every product and sum
-    the loop forms is therefore at most prod (a_i + 1)^{p_i}, whatever the
-    order of the letters.  The proof needs no extremal theorem, so the
-    extremal oracle stays independent of the census.
-    """
-    bound = 1
-    for a, p in zip(letters, counts):
-        bound *= (a + 1) ** p
-    return bound < INT64_LIMIT
-
-
 def __getattr__(name: str):
     # Unused here; perfbench/layers.py subclasses census.ProcessPoolExecutor to
     # count pool start-ups.  Resolved on first access, because importing it
@@ -279,13 +255,70 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _numpy():
-    """The numpy module, or None where it is not installed."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
+def _fits_64_bits(letters: Sequence[int], counts: Sequence[int]) -> bool:
+    """True when every continuant of the class is below 2**64.
+
+    K_j = a_j K_{j-1} + K_{j-2} <= (a_j + 1) K_{j-1} for positive letters, so
+    every arrangement's value is at most prod (a_i + 1)^{p_i}.
+    """
+    return math.prod((a + 1) ** p for a, p in zip(letters, counts)) < 2**64
+
+
+def _half_tables(letters: Sequence[int], counts: Sequence[int], h: int) -> dict:
+    """Map each count vector c <= counts of sum h to its arrangements z,
+    with the lists K(z) and K(z minus its last letter), built one letter
+    at a time: K(z a) = a K(z) + K(z minus its last letter)."""
+    tables = {(0,) * len(counts): ([()], [1], [0])}
+    for _ in range(h):
+        grown: dict = {}
+        for c, (zs, ks, kms) in tables.items():
+            for i, a in enumerate(letters):
+                if c[i] < counts[i]:
+                    words, k, km = grown.setdefault(c[:i] + (c[i] + 1,) + c[i + 1 :], ([], [], []))
+                    words += [z + (a,) for z in zs]
+                    k += [a * x + y for x, y in zip(ks, kms)]
+                    km += ks
+        tables = grown
+    return tables
+
+
+def _rows(letters: Sequence[int], counts: Sequence[int]) -> Iterator[tuple]:
+    """Yield (head, ys, lo, values): the values K(head + reversed(y)) for y in ys[lo:].
+
+    Every member is w = x m reversed(y), with halves |x| = |y| = n // 2 and
+    a middle letter m when n is odd.  By the splitting identity, K(w) =
+    A K(y) + B K(y minus its last letter), with (A, B) = (K(x), K(x minus
+    its last letter)) for n even and (m K(x) + K(x minus its last letter),
+    K(x)) for n odd.  Reversal maps (c, x, y) to (d, y, x), where c and d
+    count the letters of x and y, so one member per reversal class is the
+    pairs with c < d, and those with x at or before y when c == d.  When
+    every value fits 64 bits, a row is one multiply-add on the half table
+    packed into 64-bit fields.
+    """
+    n = sum(counts)
+    tables = _half_tables(letters, counts, n // 2)
+    packed = sys.byteorder == "little" and _fits_64_bits(letters, counts)
+    packs: dict = {}
+    for k in range(len(letters)) if n % 2 else (None,):
+        rest = counts if k is None else counts[:k] + (counts[k] - 1,) + counts[k + 1 :]
+        for c, (xs, kx, kxm) in tables.items():
+            d = tuple(r - x for r, x in zip(rest, c))
+            if d < c or min(d) < 0:
+                continue
+            ys, ky, kym = tables[d]
+            if packed and d not in packs:
+                packs[d] = tuple(int.from_bytes(array("Q", t), "little") for t in (ky, kym))
+            for i, head in enumerate(xs):
+                a, b = kx[i], kxm[i]
+                if k is not None:
+                    head, a, b = head + (letters[k],), letters[k] * a + b, a
+                lo = i if c == d else 0
+                if packed:
+                    py, pym = packs[d]
+                    values = memoryview((a * py + b * pym).to_bytes(8 * len(ys), "little")).cast("Q")[lo:]
+                else:
+                    values = [a * y + b * ym for y, ym in zip(ky[lo:], kym[lo:])]
+                yield head, ys, lo, values
 
 
 def _value_table(
@@ -302,154 +335,35 @@ def _value_table(
 
     ``witness_values`` picks, from the finished value table, the values
     whose words are returned, in the order of the returned dict; by default
-    every value.  Each gets its first ``words_per_value`` canonical words in
-    lexicographic order.  The result is the same for fixed inputs whichever
-    kernel runs.
-
-    The kernel is chosen here, from the input alone: classes of at least
-    INT64_MIN_CLASSES members whose values fit int64 run the NumPy kernel
-    when NumPy imports; the rest run the stdlib loop.
+    every value.  Each gets its ``words_per_value`` smallest canonical words,
+    in lexicographic order, found by a second pass over the rows.
     """
-    size = _class_size(alphabet, parikh, limit)
+    _class_size(alphabet, parikh, limit)
     letters, counts = alphabet.letters, parikh.counts
-    if size >= INT64_MIN_CLASSES and _fits_int64(letters, counts):
-        np = _numpy()
-        if np is not None:
-            return _int64_table(np, letters, counts, value_budget, words_per_value, witness_values)
-
-    classes, table, words = _scan_shard((letters, counts, (), words_per_value, value_budget))
-    if not words_per_value:
-        return classes, table, {}
-    wanted = table if witness_values is None else witness_values(table)
-    return classes, table, {v: tuple(words[v]) for v in wanted}
-
-
-# ---------------------------------------------------------------------------
-# Exact int64 kernel (optional NumPy)
-# ---------------------------------------------------------------------------
-
-def _grow(np, let, state, depth):
-    """Extend every prefix by each letter it has left, children in lex order."""
-    rem, prev, cur, words = state
-    # Row-major flat positions, so children come out (parent, letter)
-    # ascending.  np.take is several times faster here than fancy indexing.
-    rows, j = np.divmod(np.flatnonzero(rem), len(let))
-    rem = np.take(rem, rows, axis=0) - np.take(np.eye(len(let), dtype=np.uint8), j, axis=0)
-    words = np.take(words, rows, axis=0)
-    words[:, depth] = j
-    cur = np.take(cur, rows)
-    return rem, cur, let[j] * cur + np.take(prev, rows), words
-
-
-def _int64_members(np, letters, counts, chunk_rows):
-    """Yield (words, values) of the canonical class members, lex ascending.
-
-    ``words`` holds letter indices, one row per member; ``values`` their
-    continuants as int64, exact under ``_fits_int64`` (which also keeps n, and
-    so every count and index, below 63).  The class is expanded breadth-first
-    to the shallowest prefix depth at which no prefix has more than
-    ``chunk_rows`` completions; consecutive prefixes are then packed into
-    chunks of at most ``chunk_rows`` arrangements and each chunk is expanded
-    to full length, so memory does not grow with the class size.
-    """
-    n = sum(counts)
-    let = np.array(letters, dtype=np.int64)
-    state = (
-        np.array([counts], dtype=np.uint8),
-        np.zeros(1, dtype=np.int64),
-        np.ones(1, dtype=np.int64),
-        np.zeros((1, n), dtype=np.uint8),
-    )
-    memo: dict = {}
-
-    def completions(rem) -> list[int]:
-        out = []
-        for r in map(tuple, rem.tolist()):
-            if r not in memo:
-                memo[r] = _multinomial(r)
-            out.append(memo[r])
-        return out
-
-    depth = 0
-    sizes = completions(state[0])
-    while max(sizes) > chunk_rows:
-        state = _grow(np, let, state, depth)
-        depth += 1
-        sizes = completions(state[0])
-
-    cuts = [0]
-    total = 0
-    for i, size in enumerate(sizes):
-        if total + size > chunk_rows:
-            cuts.append(i)
-            total = 0
-        total += size
-    cuts.append(len(sizes))
-
-    for lo, hi in zip(cuts, cuts[1:]):
-        chunk = tuple(a[lo:hi] for a in state)
-        for d in range(depth, n):
-            chunk = _grow(np, let, chunk, d)
-        words, values = chunk[3], chunk[2]
-        # Keep w iff w <= reversed(w), comparing columns from the outside in.
-        cols = np.ascontiguousarray(words.T)
-        less = np.zeros(len(values), dtype=bool)
-        equal = np.ones(len(values), dtype=bool)
-        for i in range(n // 2):
-            a, b = cols[i], cols[n - 1 - i]
-            less |= equal & (a < b)
-            equal &= a == b
-        keep = less | equal
-        yield words[keep], values[keep]
-
-
-def _merge_counts(np, vals, cnts, new_vals, new_cnts):
-    """Union of two sorted (value, count) tables, counts of equal values summed."""
-    allv = np.concatenate([vals, new_vals])
-    allc = np.concatenate([cnts, new_cnts])
-    order = np.argsort(allv, kind="stable")
-    allv, allc = allv[order], allc[order]
-    starts = np.flatnonzero(np.concatenate([[True], allv[1:] != allv[:-1]]))
-    return allv[starts], np.add.reduceat(allc, starts)
-
-
-def _int64_table(np, letters, counts, value_budget, words_per_value, witness_values):
-    """``_value_table`` on the int64 kernel: a counting pass, then a witness pass."""
-    vals = np.zeros(0, dtype=np.int64)
-    cnts = np.zeros(0, dtype=np.int64)
+    table: Counter = Counter()
     classes = 0
-    only = None  # the class's chunk while it has just one: the witness pass reuses it
-    for i, chunk in enumerate(_int64_members(np, letters, counts, INT64_CHUNK_ROWS)):
-        values = chunk[1]
+    for _, _, _, values in _rows(letters, counts):
+        table.update(values)
         classes += len(values)
-        vals, cnts = _merge_counts(np, vals, cnts, *np.unique(values, return_counts=True))
-        if len(vals) > value_budget:
-            raise ValueBudgetExceededError(len(vals), value_budget, classes)
-        only = chunk if i == 0 else None
-    table = dict(zip(vals.tolist(), cnts.tolist()))
+        if len(table) > value_budget:
+            # The lexicographic reference meets the same overflow and raises
+            # it, with counters that do not depend on the order of the rows.
+            _scan_shard((letters, counts, (), 0, value_budget))
     if not words_per_value:
         return classes, table, {}
 
     found = {v: [] for v in (table if witness_values is None else witness_values(table))}
-    missing = sum(min(words_per_value, table[v]) for v in found)
-    wanted = np.array(list(found), dtype=np.int64)
-    let = np.array(letters, dtype=np.int64)
-    chunks = [only] if only is not None else _int64_members(np, letters, counts, INT64_CHUNK_ROWS)
-    for words, values in chunks if missing else ():
-        hits = np.flatnonzero(np.isin(values, wanted))
-        # The first words_per_value hits of each value in this chunk: sort
-        # the hits stably by value and rank each within its value.
-        order = np.argsort(values[hits], kind="stable")
-        hv = values[hits[order]]
-        rank = np.arange(len(hv)) - np.searchsorted(hv, hv)
-        take = np.sort(hits[order[rank < words_per_value]])
-        for v, w in zip(values[take].tolist(), let[words[take]].tolist()):
-            got = found[v]
-            if len(got) < words_per_value:
-                got.append(tuple(w))
-                missing -= 1
-        if not missing:
-            break
+    for head, ys, lo, values in _rows(letters, counts):
+        if found.keys().isdisjoint(values):
+            continue
+        for j, v in enumerate(values, lo):
+            got = found.get(v)
+            if got is not None:
+                w = head + ys[j][::-1]
+                w = min(w, w[::-1])
+                if len(got) < words_per_value or w < got[-1]:
+                    bisect.insort(got, w)
+                    del got[words_per_value:]
     return classes, table, {v: tuple(ws) for v, ws in found.items()}
 
 

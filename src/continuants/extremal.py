@@ -24,8 +24,8 @@ program over the remaining letter counts that keeps, per count vector,
 only the Pareto front of (K(prefix), K(prefix minus its last letter))
 pairs.  It shares no code with the census, and :func:`verify_max_arrangement`
 runs on it.  :func:`brute_force_extrema` is the small-class reference: it
-evaluates K on every reversal class through the census kernel
-``census._members``.
+evaluates K on every reversal class through the census's lexicographic
+reference ``census._members``.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def brute_force_extrema(
 ) -> ExtremalResult:
     """Exhaustive extremal oracle: evaluate K on the whole class.
 
-    The census kernel ``_members`` yields each reversal class once, as its
+    The reference loop ``_members`` yields each reversal class once, as its
     canonical word in lexicographic order; the extreme values are kept with
     every class attaining them, so argmax and argmin come out sorted.
     """

@@ -7,7 +7,6 @@ capture.
 """
 
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -78,15 +77,11 @@ def test_criterion_1_extremal_correctness_sweep(capsys):
     report(capsys, f"criterion 1 (extremal sweep): PASS on {pairs} alphabet/Parikh pairs")
 
 
-def test_criterion_2_desk_census_golden(capsys, monkeypatch):
+def test_criterion_2_desk_census_golden(capsys):
     a, p = Alphabet((1, 2)), ParikhVector((2, 2))
-    single = run_census(a, p)  # 4 classes, below INT64_MIN_CLASSES: the stdlib kernel
-    int64_runs = []
-    kernel = census._int64_table
-    monkeypatch.setattr(census, "_int64_table", lambda *args: int64_runs.append(args) or kernel(*args))
-    monkeypatch.setattr(census, "INT64_MIN_CLASSES", 0)
-    fast = run_census(a, p)
-    assert len(int64_runs) == (0 if census._numpy() is None else 1)
+    single = run_census(a, p)
+    reference = (a.letters, p.counts, (), census.WITNESS_WORDS_PER_VALUE, census.DEFAULT_VALUE_BUDGET)
+    classes, table, words = census._scan_shard(reference)
     assert single.class_size == 4
     assert single.distinct_values == 4
     values = {w.value for w in single.witnesses}
@@ -94,10 +89,11 @@ def test_criterion_2_desk_census_golden(capsys, monkeypatch):
     assert single.max_value == 13
     top = [w for w in single.witnesses if w.value == 13]
     assert [tuple(x) for x in top[0].words] == [(2, 1, 1, 2)]
-    assert single == fast
-    assert json.dumps(single.to_json_dict()) == json.dumps(fast.to_json_dict())
-    kernels = "the stdlib and int64 kernels" if int64_runs else "the stdlib kernel (no NumPy)"
-    report(capsys, f"criterion 2 (desk census golden): PASS, bit-identical on {kernels}")
+    assert (single.class_size, single.distinct_values) == (classes, len(table))
+    assert {w.value: (w.multiplicity, tuple(w.words)) for w in single.witnesses} == {
+        v: (table[v], tuple(ws)) for v, ws in words.items()
+    }
+    report(capsys, "criterion 2 (desk census golden): PASS, identical to the lexicographic reference scan")
 
 
 def test_criterion_3_constant_word_growth_claim(capsys):

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from continuants import census
@@ -298,96 +298,96 @@ class TestMultisetPermutations:
 
 
 # ---------------------------------------------------------------------------
-# Kernel dispatch: the int64 kernel and the stdlib loop
+# The meet-in-the-middle kernel against the lexicographic reference scan
 # ---------------------------------------------------------------------------
 
 
-def full_table(letters, counts, **kwargs):
-    """_value_table with every value's first three words, as comparable data."""
-    classes, table, words = census._value_table(
-        alpha(*letters), parikh(*counts), words_per_value=3, **kwargs
-    )
-    return classes, table, sorted(words.items())
+def reference_table(letters, counts, words_per_value, witness_values):
+    """What _value_table returns, computed by the reference scan _scan_shard."""
+    classes, table, words = census._scan_shard((letters, counts, (), words_per_value, 10**9))
+    if not words_per_value:
+        return classes, table, {}
+    wanted = table if witness_values is None else witness_values(table)
+    return classes, table, {v: tuple(words[v]) for v in wanted}
 
 
-def report_of(letters, counts, **kwargs):
-    return json.dumps(run_census(alpha(*letters), parikh(*counts), **kwargs).to_json_dict())
+def assert_matches_reference(letters, counts, words_per_value=3):
+    for pick in (None, lambda t: census._report_values(t, 3)):
+        got = census._value_table(
+            alpha(*letters), parikh(*counts), words_per_value=words_per_value, witness_values=pick
+        )
+        expected = reference_table(letters, counts, words_per_value, pick)
+        assert got == expected
+        if pick is not None:
+            assert list(got[2]) == list(expected[2])  # witnesses in the order picked
+
+
+def row_kinds(letters, counts):
+    return {type(row[3]) for row in census._rows(letters, counts)}
 
 
 class TestKernels:
-    @given(small_classes(max_total=9), st.integers(0, 4))
+    @given(
+        st.one_of(small_classes(max_letters=5, max_total=10, max_letter=39), small_classes(max_letter=2**20)),
+        st.integers(0, 4),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_int64_kernel_matches_stdlib(self, cls, words_per_value):
-        np = pytest.importorskip("numpy")
-        letters, counts = cls
-        budget = census.DEFAULT_VALUE_BUDGET
-        for pick in (None, lambda t: census._report_values(t, 3)):
-            stdlib = census._value_table(
-                alpha(*letters), parikh(*counts), words_per_value=words_per_value, witness_values=pick
-            )
-            fast = census._int64_table(np, letters, counts, budget, words_per_value, pick)
-            assert fast == stdlib
-            if pick is not None:
-                assert list(fast[2]) == list(stdlib[2])  # witnesses in the order picked
-
-    @given(small_classes(max_total=9), st.sampled_from([1, 2, 5, 64]))
-    @settings(max_examples=40, deadline=None)
-    def test_int64_kernel_in_several_chunks(self, cls, chunk_rows):
-        pytest.importorskip("numpy")
-        letters, counts = cls
-        reference = full_table(letters, counts)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(census, "INT64_MIN_CLASSES", 0)
-            mp.setattr(census, "INT64_CHUNK_ROWS", chunk_rows)
-            assert full_table(letters, counts) == reference
-            chunked = report_of(letters, counts)
-        assert chunked == report_of(letters, counts)
+    @example(((7,), (1,)), 2)  # n = 1: no halves, only the middle letter
+    @example(((3,), (6,)), 1)  # one letter, n even
+    @example(((2**40,), (5,)), 1)  # one letter, n odd, plain rows
+    @example(((1, 2), (2, 2)), 4)  # two palindromes, n even
+    @example(((1, 2, 3), (2, 3, 2)), 4)  # palindromes, n odd
+    @example(((5, 2**30), (3, 2)), 4)  # no palindrome, plain rows
+    def test_kernel_matches_the_reference_scan(self, cls, words_per_value):
+        assert_matches_reference(*cls, words_per_value)
 
     def test_int64_values_near_the_overflow_gate(self):
-        np = pytest.importorskip("numpy")
-        # prod (a_i + 1) = (2**21 - 2)(2**21 - 1) 2**21 < 2**63, and K(a,b,c) = abc + a + c.
-        letters, counts = (2**21 - 3, 2**21 - 2, 2**21 - 1), (1, 1, 1)
-        assert census._fits_int64(letters, counts)
-        stdlib = census._value_table(alpha(*letters), parikh(*counts), words_per_value=2)
-        assert min(stdlib[1]) > 2**63 - 2**45
-        fast = census._int64_table(np, letters, counts, census.DEFAULT_VALUE_BUDGET, 2, None)
-        assert fast == stdlib
+        # K(a, b) = ab + 1 and K(a, b, c) = abc + a + c, with every bound below 2**64:
+        # values past 2**63, and just below 2**64, on packed rows.
+        x = 2642245  # (x + 1)**3 > 2**64 > x**3
+        cases = [
+            ((2**21 - 3, 2**21 - 2, 2**21 - 1), (1, 1, 1), 2**63 - 2**45),
+            ((2**32 - 2, 2**32 - 1), (1, 1), 2**64 - 2**46),
+            ((x - 2, x - 1, x), (1, 1, 1), 2**64 - 2**46),
+        ]
+        for letters, counts, low in cases:
+            assert census._fits_64_bits(letters, counts)
+            assert row_kinds(letters, counts) == {memoryview}
+            assert min(census._value_table(alpha(*letters), parikh(*counts))[1]) > low
+            assert_matches_reference(letters, counts)
 
     def test_overflow_gate_bound(self):
-        assert census._fits_int64((1,), (62,))
-        assert not census._fits_int64((1,), (63,))  # 2**63 itself does not pass
-        assert census._fits_int64((6,), (22,))  # 7**22 < 2**63: letters <= 6, n <= 22
-        assert not census._fits_int64((6,), (23,))
+        assert census._fits_64_bits((1,), (63,))
+        assert not census._fits_64_bits((1,), (64,))  # 2**64 itself does not pass
+        assert census._fits_64_bits((6,), (22,))  # 7**22 < 2**64: letters <= 6, n <= 22
+        assert not census._fits_64_bits((6,), (23,))
 
-    def test_class_over_the_overflow_gate_takes_the_stdlib_path(self, monkeypatch):
-        pytest.importorskip("numpy")
-        calls = []
-        kernel = census._int64_table
-        monkeypatch.setattr(census, "_int64_table", lambda *a: calls.append(a) or kernel(*a))
-        monkeypatch.setattr(census, "INT64_MIN_CLASSES", 0)
-        over, under = ((1, 2), (63, 1)), ((1, 2), (60, 1))  # bounds 3 * 2**63 and 3 * 2**60
-        assert not census._fits_int64(*over) and census._fits_int64(*under)
-        run_census(alpha(1, 2), parikh(*over[1]))
-        assert calls == []
-        run_census(alpha(1, 2), parikh(*under[1]))
-        assert len(calls) == 1
+    def test_class_over_the_overflow_gate_takes_plain_rows(self):
+        # The bound 3 * 2**63 misses the gate, though every value is below 2**45.
+        letters, counts = (1, 2), (63, 1)
+        assert not census._fits_64_bits(letters, counts)
+        assert row_kinds(letters, counts) == {list}
+        assert max(census._value_table(alpha(*letters), parikh(*counts))[1]) < 2**45
+        assert_matches_reference(letters, counts)
 
-    def test_same_reports_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(census, "INT64_MIN_CLASSES", 0)
-        cases = [((1, 2, 3), (2, 2, 2)), ((1, 2, 3, 4), (1, 1, 1, 1)), ((1, 2), (4, 3))]
-        with_numpy = [report_of(*c) for c in cases]
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert census._numpy() is None
-        assert [report_of(*c) for c in cases] == with_numpy
+    def test_budget_is_checked_after_every_row(self, monkeypatch):
+        rows, scans = [], []
+        kernel, scan = census._rows, census._scan_shard
+        monkeypatch.setattr(census, "_rows", lambda *a: (rows.append(set(r[3])) or r for r in kernel(*a)))
+        monkeypatch.setattr(census, "_scan_shard", lambda args: scans.append(len(rows)) or scan(args))
+        with pytest.raises(ValueBudgetExceededError):
+            census._value_table(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
+        before = set().union(*rows[:-1])
+        assert len(before) <= 20_000 < len(before | rows[-1])
+        assert scans == [len(rows)]
 
     def test_bigint_census_never_imports_numpy(self):
         code = (
             "import sys\n"
             f"sys.path.insert(0, {SRC!r})\n"
-            "from continuants import census, cli\n"
-            "assert 'numpy' not in sys.modules, 'import continuants.cli imported numpy'\n"
-            "census.INT64_MIN_CLASSES = 0\n"
-            "assert cli.main(['census', '--alphabet', '1,2,70000', '--parikh', '3,2,4', '--workers', '1']) == 0\n"
+            "from continuants import cli\n"
+            "for alphabet, counts in [('1,2,3,4', '3,3,3,3'), ('1,2,70000', '3,2,4')]:\n"
+            "    assert cli.main(['census', '--alphabet', alphabet, '--parikh', counts]) == 0\n"
             "print('numpy' in sys.modules)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -400,7 +400,6 @@ class TestOneProcess:
     def test_value_budget_is_global(self, monkeypatch, calls):
         # The budget spans the whole class within one call and starts afresh
         # on the next call in the same process.
-        monkeypatch.setitem(sys.modules, "numpy", None)
         for _ in range(calls):
             with pytest.raises(ValueBudgetExceededError) as info:
                 run_census(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
@@ -411,7 +410,6 @@ class TestOneProcess:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
-        monkeypatch.setattr(census, "INT64_MIN_CLASSES", 0)
         a, p = alpha(1, 2, 70000), parikh(3, 2, 4)
-        assert not census._fits_int64(a.letters, p.counts)
+        assert not census._fits_64_bits(a.letters, p.counts)
         assert run_census(a, p).class_size == exact_class_count(p)
