@@ -255,26 +255,21 @@ def simplified_bound_threshold(s: int) -> int:
     """Least m with 2^{2s} s! 99^m <= 100^m, decided in exact integer arithmetic.
 
     From this repetition count on, the distinct-value bound collapses to
-    ((100/99) (s+1)!)^m.
+    ((100/99) (s+1)!)^m.  A float logarithm only picks the starting m; the
+    predicate is monotone in m, and exact integer checks step from there to
+    the least m that satisfies it.
     """
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
     target = (1 << (2 * s)) * math.factorial(s)
-
-    def ok(m: int) -> bool:
-        return 100**m >= target * 99**m
-
-    hi = 1
-    while not ok(hi):
-        hi <<= 1
-    lo = hi >> 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    m = max(1, math.ceil(math.log(target) / math.log1p(1 / 99)))
+    # Invariant: p = 100^m and q = target 99^m, so ok(m) is p >= q.
+    p, q = 100**m, target * 99**m
+    while 99 * p >= 100 * q:  # ok(m - 1); never holds at m = 1 since target > 1
+        p, q, m = p // 100, q // 99, m - 1
+    while p < q:
+        p, q, m = p * 100, q * 99, m + 1
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +314,15 @@ def density_threshold_s(
     if not 1 <= t <= l:
         raise ValueError(f"need 1 <= t <= l, got t={t}, l={l}")
     c = l - t + 1
+    thresholds: dict[int, tuple[Fraction, Fraction]] = {}  # precision -> e^{-c}/2, for every s
     s = c
     while True:
         f = _density_fraction(t, l, s)
 
         def decide(q: int, f=f):
-            thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
+            if q not in thresholds:
+                thresholds[q] = _half_exp_neg_interval(c, q + _GUARD_BITS)
+            thr_lo, thr_hi = thresholds[q]
             if f >= thr_hi:
                 return True
             if f < thr_lo:
@@ -375,7 +373,14 @@ def smallest_admissible_s(
 
     Exists because the growth factor behaves like e^s over a polynomial.
     """
-    s = max(density_threshold_s(t, l, prec=prec, max_prec=max_prec), l + 1)
+    return _smallest_admissible_s(
+        t, l, density_threshold_s(t, l, prec=prec, max_prec=max_prec), prec, max_prec
+    )
+
+
+def _smallest_admissible_s(t: int, l: int, s_thr: int, prec: int, max_prec: int) -> int:
+    """smallest_admissible_s with density_threshold_s(t, l) = s_thr already known."""
+    s = max(s_thr, l + 1)
     while True:
         if _growth_exceeds_one(t, l, s, prec, max_prec):
             return s
@@ -396,7 +401,14 @@ def is_admissible(
     applies from there on) and s > l (the shape itself needs it).
     """
     _check_shape(t, l, s)
-    if s < max(density_threshold_s(t, l, prec=prec, max_prec=max_prec), l + 1):
+    return _is_admissible(
+        t, l, s, density_threshold_s(t, l, prec=prec, max_prec=max_prec), prec, max_prec
+    )
+
+
+def _is_admissible(t: int, l: int, s: int, s_thr: int, prec: int, max_prec: int) -> bool:
+    """is_admissible with density_threshold_s(t, l) = s_thr already known."""
+    if s < max(s_thr, l + 1):
         return False
     return _growth_exceeds_one(t, l, s, prec, max_prec)
 
@@ -506,13 +518,11 @@ def bounds_report(
         m_thr = simplified_bound_threshold(s)
         dens = density_power(t, l, s)
         growth = growth_factor(t, l, s, prec=prec)
-        adm = is_admissible(t, l, s, prec=prec, max_prec=max_prec)
+        adm = _is_admissible(t, l, s, s_thr, prec, max_prec)
         if m is not None:
             vcu = value_count_upper_bound(s, m)
             ccl = class_count_lower_bound(t, l, s, m)
-    adm_s = (
-        smallest_admissible_s(t, l, prec=prec, max_prec=max_prec) if find_admissible else None
-    )
+    adm_s = _smallest_admissible_s(t, l, s_thr, prec, max_prec) if find_admissible else None
     return BoundsReport(
         t=t,
         l=l,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -124,6 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="class budget for the exact search")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses: built once per process, since parse_args never mutates it."""
+    return build_parser()
 
 
 def _add_class_flags(p: argparse.ArgumentParser) -> None:
@@ -426,8 +433,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _config_from(args)
         return _COMMANDS[args.command](args, config)

@@ -34,6 +34,7 @@ from continuants import (
     stirling_enclosure,
     value_count_upper_bound,
 )
+from continuants import bounds
 from continuants.bounds import _refine
 
 mpmath.mp.dps = 60
@@ -92,8 +93,12 @@ class TestClassCountLowerBound:
 
 class TestSimplifiedBoundThreshold:
     def test_golden_value(self):
-        # Independently re-derived below; frozen here.
+        # Independently re-derived below; frozen here.  The three large
+        # values are those the earlier bisection over 100^m and 99^m gave.
         assert simplified_bound_threshold(2) == 345
+        assert simplified_bound_threshold(54) == 23799
+        assert simplified_bound_threshold(156) == 84722
+        assert simplified_bound_threshold(158) == 86005
 
     def test_boundary_exactly(self):
         assert 32 * 99**344 > 100**344
@@ -108,6 +113,15 @@ class TestSimplifiedBoundThreshold:
                 r *= Fraction(100, 99)
                 m += 1
             assert simplified_bound_threshold(s) == m
+
+    def test_least_m_for_every_s_up_to_160(self):
+        # The defining property, with both sides built from scratch per s:
+        # fails at m - 1, holds at m.
+        for s in range(2, 161):
+            m = simplified_bound_threshold(s)
+            left, right = 100 ** (m - 1), 4**s * math.factorial(s) * 99 ** (m - 1)
+            assert left < right, s
+            assert 100 * left >= 99 * right, s
 
     def test_monotone_in_s(self):
         prev = 0
@@ -372,3 +386,31 @@ class TestBoundsReport:
     def test_m_without_s_rejected(self):
         with pytest.raises(ValueError):
             bounds_report(1, 1, None, 3)
+
+    @pytest.mark.parametrize(
+        "s, find_admissible", [(None, True), (5, False), (5, True), (9, False), (9, True)]
+    )
+    def test_one_density_scan_per_report(self, monkeypatch, s, find_admissible):
+        expected = bounds_report(1, 3, s, find_admissible=find_admissible)
+        calls = []
+        scan = bounds.density_threshold_s
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "density_threshold_s", counted)
+        assert bounds_report(1, 3, s, find_admissible=find_admissible) == expected
+        assert calls == [(1, 3)]
+
+    def test_density_scan_builds_one_threshold_per_precision(self, monkeypatch):
+        precisions = []
+        enclose = bounds._half_exp_neg_interval
+
+        def counted(c, q):
+            precisions.append(q)
+            return enclose(c, q)
+
+        monkeypatch.setattr(bounds, "_half_exp_neg_interval", counted)
+        assert density_threshold_s(1, 3) == 8  # six values of s scanned
+        assert len(precisions) == len(set(precisions)) >= 1

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
+from continuants import cli, exact_class_count, parse_word
 from continuants.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, RunConfig, main
-from continuants import exact_class_count, parse_word
 
 
 def run(capsys, *argv):
@@ -273,6 +273,60 @@ class TestGlobalFlags:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: workers must be positive, got 0\n"
+
+
+class TestRepeatedCalls:
+    """main() reuses one parser per process; a second call must not notice."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wmax", "--alphabet", "1,2,3", "--parikh", "2,2,3", "--verify"],
+            ["bounds", "--t", "1", "--l", "1", "--s", "2", "--m", "2", "--format", "json"],
+            ["bounds", "--t", "2", "--l", "1"],
+        ],
+    )
+    def test_second_call_prints_the_same(self, capsys, argv):
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--alphabet", "1,2"],
+            ["bounds", "--t", "x", "--l", "1"],
+            ["frobnicate"],
+        ],
+    )
+    def test_second_usage_error_prints_the_same(self, capsys, argv):
+        def usage_error():
+            with pytest.raises(SystemExit) as info:
+                main(list(argv))
+            captured = capsys.readouterr()
+            return info.value.code, captured.out, captured.err
+
+        first = usage_error()
+        assert first[0] == EXIT_USAGE and first[1] == ""
+        assert first[2].startswith("usage: continuants")
+        assert usage_error() == first
+
+    def test_parser_is_built_once_but_build_parser_stays_fresh(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert run(capsys, "continuant", "2,1,1,2")[:2] == (EXIT_OK, "13\n")
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert build() is not build()
 
 
 class TestRunConfig:
