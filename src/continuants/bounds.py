@@ -140,18 +140,6 @@ def _iv_sqrt(iv: tuple[Fraction, Fraction], q: int) -> tuple[Fraction, Fraction]
     return Fraction(r_lo, 1 << q), Fraction(r_hi, 1 << q)
 
 
-def _refine(decide, start_prec: int, max_prec: int, description: str) -> bool:
-    """Run decide(prec) -> True | False | None, doubling precision while undecided."""
-    prec = start_prec
-    while True:
-        verdict = decide(prec)
-        if verdict is not None:
-            return verdict
-        if prec >= max_prec:
-            raise PrecisionExhaustedError(description, max_prec)
-        prec = min(2 * prec, max_prec)
-
-
 # ---------------------------------------------------------------------------
 # Certified real values
 # ---------------------------------------------------------------------------
@@ -183,9 +171,6 @@ class CertifiedReal:
     @property
     def is_exact(self) -> bool:
         return self.lower == self.upper
-
-    def __contains__(self, x) -> bool:
-        return self.lower <= Fraction(x) <= self.upper
 
     def definitely_greater(self, c) -> bool:
         return self.lower > Fraction(c)
@@ -309,29 +294,26 @@ def density_threshold_s(
     """Least s >= l-t+1 with density_power(t, l, s) >= e^{-(l-t)-1} / 2.
 
     The left side is exactly rational and the threshold is irrational, so
-    the certified comparison always resolves at some precision.
+    the certified comparison always resolves at some precision.  A finer
+    enclosure never changes a decision, so the scan keeps the precision it
+    has reached and rebuilds e^{-c}/2 only when the precision doubles.
     """
     if not 1 <= t <= l:
         raise ValueError(f"need 1 <= t <= l, got t={t}, l={l}")
     c = l - t + 1
-    thresholds: dict[int, tuple[Fraction, Fraction]] = {}  # precision -> e^{-c}/2, for every s
-    s = c
+    s, q = c, prec
+    thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
     while True:
         f = _density_fraction(t, l, s)
-
-        def decide(q: int, f=f):
-            if q not in thresholds:
-                thresholds[q] = _half_exp_neg_interval(c, q + _GUARD_BITS)
-            thr_lo, thr_hi = thresholds[q]
-            if f >= thr_hi:
-                return True
-            if f < thr_lo:
-                return False
-            return None
-
-        if _refine(decide, prec, max_prec, f"density_power({t},{l},{s}) vs half-limit"):
+        if f >= thr_hi:
             return s
-        s += 1
+        if f < thr_lo:
+            s += 1
+        elif q >= max_prec:
+            raise PrecisionExhaustedError(f"density_power({t},{l},{s}) vs half-limit", max_prec)
+        else:
+            q = min(2 * q, max_prec)
+            thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
 
 
 def growth_factor(t: int, l: int, s: int, *, prec: int = DEFAULT_PREC_BITS) -> CertifiedReal:
@@ -350,16 +332,17 @@ def growth_factor(t: int, l: int, s: int, *, prec: int = DEFAULT_PREC_BITS) -> C
     return CertifiedReal(lo, hi, prec)
 
 
-def _growth_exceeds_one(t: int, l: int, s: int, prec: int, max_prec: int) -> bool:
-    def decide(q: int):
-        g = growth_factor(t, l, s, prec=q)
-        if g.definitely_greater(1):
-            return True
-        if g.definitely_less(1):
-            return False
-        return None
+def _growth_exceeds_one(t: int, l: int, s: int, g: CertifiedReal, max_prec: int) -> bool:
+    """Whether growth_factor(t, l, s) > 1, decided from its enclosure g.
 
-    return _refine(decide, prec, max_prec, f"growth_factor({t},{l},{s}) vs 1")
+    Only while g straddles 1 is it rebuilt, at twice its precision, up to
+    max_prec.
+    """
+    while not (g.definitely_greater(1) or g.definitely_less(1)):
+        if g.prec_bits >= max_prec:
+            raise PrecisionExhaustedError(f"growth_factor({t},{l},{s}) vs 1", max_prec)
+        g = growth_factor(t, l, s, prec=min(2 * g.prec_bits, max_prec))
+    return g.definitely_greater(1)
 
 
 def smallest_admissible_s(
@@ -381,10 +364,9 @@ def smallest_admissible_s(
 def _smallest_admissible_s(t: int, l: int, s_thr: int, prec: int, max_prec: int) -> int:
     """smallest_admissible_s with density_threshold_s(t, l) = s_thr already known."""
     s = max(s_thr, l + 1)
-    while True:
-        if _growth_exceeds_one(t, l, s, prec, max_prec):
-            return s
+    while not _growth_exceeds_one(t, l, s, growth_factor(t, l, s, prec=prec), max_prec):
         s += 1
+    return s
 
 
 def is_admissible(
@@ -401,16 +383,9 @@ def is_admissible(
     applies from there on) and s > l (the shape itself needs it).
     """
     _check_shape(t, l, s)
-    return _is_admissible(
-        t, l, s, density_threshold_s(t, l, prec=prec, max_prec=max_prec), prec, max_prec
-    )
-
-
-def _is_admissible(t: int, l: int, s: int, s_thr: int, prec: int, max_prec: int) -> bool:
-    """is_admissible with density_threshold_s(t, l) = s_thr already known."""
-    if s < max(s_thr, l + 1):
+    if s < max(density_threshold_s(t, l, prec=prec, max_prec=max_prec), l + 1):
         return False
-    return _growth_exceeds_one(t, l, s, prec, max_prec)
+    return _growth_exceeds_one(t, l, s, growth_factor(t, l, s, prec=prec), max_prec)
 
 
 def stirling_enclosure(n: int, *, prec: int = DEFAULT_PREC_BITS) -> tuple[CertifiedReal, CertifiedReal]:
@@ -518,7 +493,7 @@ def bounds_report(
         m_thr = simplified_bound_threshold(s)
         dens = density_power(t, l, s)
         growth = growth_factor(t, l, s, prec=prec)
-        adm = _is_admissible(t, l, s, s_thr, prec, max_prec)
+        adm = s >= max(s_thr, l + 1) and _growth_exceeds_one(t, l, s, growth, max_prec)
         if m is not None:
             vcu = value_count_upper_bound(s, m)
             ccl = class_count_lower_bound(t, l, s, m)

@@ -303,7 +303,7 @@ def _rows(letters: Sequence[int], counts: Sequence[int]) -> Iterator[tuple]:
         rest = counts if k is None else counts[:k] + (counts[k] - 1,) + counts[k + 1 :]
         for c, (xs, kx, kxm) in tables.items():
             d = tuple(r - x for r, x in zip(rest, c))
-            if d < c or min(d) < 0:
+            if d < c or min(d, default=0) < 0:  # n = 0: the empty word alone
                 continue
             ys, ky, kym = tables[d]
             if packed and d not in packs:

@@ -24,6 +24,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import bounds as bounds_mod
@@ -193,23 +194,42 @@ def _parse_parikh(text: str) -> ParikhVector:
     return ParikhVector(tuple(_parse_positive(text, "Parikh count")))
 
 
-def _emit(config: RunConfig, doc: dict, plain_lines: list[str], header: list[str], rows: list[list]) -> None:
+def _cell(value):
+    """One document value as a plain or CSV cell: letter and count lists
+    comma-joined, the spectrum's [mu, count] pairs as mu:count;..., and a
+    certified real as midpoint~radius.  Anything else passes through; the
+    CSV writer prints None as an empty cell."""
+    if isinstance(value, dict):
+        return f"{value['midpoint']}~{value['radius']}"
+    if isinstance(value, list):
+        if value and isinstance(value[0], list):
+            return ";".join(f"{mu}:{cnt}" for mu, cnt in value)
+        return format_word(value)
+    return value
+
+
+def _emit(
+    config: RunConfig, doc: dict, plain: list[str], fields: Sequence[str], records: list[dict]
+) -> None:
+    """Print doc as JSON, the plain lines, or one CSV row of fields per record.
+
+    plain and records are read from doc, so every format prints the
+    document's own strings.
+    """
     if config.output_format == "json":
         print(json.dumps(doc, indent=2))
     elif config.output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(fields)
+        writer.writerows([_cell(r[k]) for k in fields] for r in records)
         sys.stdout.write(buf.getvalue())
     else:
-        for line in plain_lines:
+        for line in plain:
             print(line)
 
 
 def _certified_plain(cr) -> str:
-    if cr is None:
-        return "-"
     if cr.is_exact:
         return f"{cr.lower} (exact)"
     d = cr.to_json_dict(digits=24)
@@ -222,14 +242,8 @@ def _certified_plain(cr) -> str:
 
 def _cmd_continuant(args: argparse.Namespace, config: RunConfig) -> int:
     word = parse_word(args.word)
-    value = continuant(word)
-    _emit(
-        config,
-        {"word": format_word(word), "value": str(value)},
-        [str(value)],
-        ["word", "value"],
-        [[format_word(word), str(value)]],
-    )
+    doc = {"word": format_word(word), "value": str(continuant(word))}
+    _emit(config, doc, [doc["value"]], list(doc), [doc])
     return EXIT_OK
 
 
@@ -248,60 +262,28 @@ def _cmd_wmax(args: argparse.Namespace, config: RunConfig) -> int:
         "word": format_word(word),
         "verified": verified,
     }
-    plain = [format_word(word)]
-    if verified is not None:
-        plain.append("verified" if verified else "NOT verified")
-    _emit(
-        config,
-        doc,
-        plain,
-        ["alphabet", "parikh", "word", "verified"],
-        [[alphabet.text, parikh.text, format_word(word), verified]],
-    )
+    plain = [doc["word"]]
+    if doc["verified"] is not None:
+        plain.append("verified" if doc["verified"] else "NOT verified")
+    _emit(config, doc, plain, list(doc), [doc])
     return EXIT_OK
 
 
-def _census_plain(report) -> list[str]:
-    lines = [
-        f"n: {report.n}",
-        f"alphabet: {report.alphabet.text}",
-        f"parikh: {report.parikh.text}",
-        f"N: {report.class_size}",
-        f"P: {report.distinct_values}",
-        f"max_multiplicity: {report.max_multiplicity}",
-        f"max_value: {report.max_value}",
-        f"min_value: {report.min_value}",
-        "spectrum: " + ";".join(f"{mu}:{cnt}" for mu, cnt in report.spectrum),
-        "witnesses:",
-    ]
-    for w in report.witnesses:
-        words = " ".join(format_word(x) for x in w.words)
-        lines.append(f"  mu={w.multiplicity} value={w.value} words: {words}")
-    return lines
+_CENSUS_FIELDS = (
+    "n", "alphabet", "parikh", "N", "P", "max_multiplicity", "max_value", "min_value", "spectrum"
+)
 
 
 def _cmd_census(args: argparse.Namespace, config: RunConfig) -> int:
     alphabet = _parse_alphabet(args)
     parikh = _parse_parikh(args.parikh)
-    report = census_mod.run_census(alphabet, parikh, limit=config.enumeration_limit)
-    spectrum_cell = ";".join(f"{mu}:{cnt}" for mu, cnt in report.spectrum)
-    _emit(
-        config,
-        report.to_json_dict(),
-        _census_plain(report),
-        ["n", "alphabet", "parikh", "N", "P", "max_multiplicity", "max_value", "min_value", "spectrum"],
-        [[
-            report.n,
-            report.alphabet.text,
-            report.parikh.text,
-            str(report.class_size),
-            str(report.distinct_values),
-            report.max_multiplicity,
-            str(report.max_value),
-            str(report.min_value),
-            spectrum_cell,
-        ]],
-    )
+    doc = census_mod.run_census(alphabet, parikh, limit=config.enumeration_limit).to_json_dict()
+    plain = [f"{k}: {_cell(doc[k])}" for k in _CENSUS_FIELDS] + ["witnesses:"]
+    plain += [
+        f"  mu={w['multiplicity']} value={w['value']} words: {' '.join(w['words'])}"
+        for w in doc["witnesses"]
+    ]
+    _emit(config, doc, plain, _CENSUS_FIELDS, [doc])
     return EXIT_OK
 
 
@@ -316,41 +298,23 @@ def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> int:
         max_prec=config.max_precision_bits,
     )
     doc = report.to_json_dict()
-    plain = [
-        f"t: {report.t}",
-        f"l: {report.l}",
-        f"s: {report.s if report.s is not None else '-'}",
-        f"m: {report.m if report.m is not None else '-'}",
-        f"s_threshold: {report.s_threshold}",
-        f"m_threshold: {report.m_threshold if report.m_threshold is not None else '-'}",
-        f"density_power: {_certified_plain(report.density_power)}",
-        f"growth_factor: {_certified_plain(report.growth_factor)}",
-        f"admissible: {report.admissible if report.admissible is not None else '-'}",
-        f"admissible_s: {report.admissible_s if report.admissible_s is not None else '-'}",
-        f"value_count_upper: {report.value_count_upper if report.value_count_upper is not None else '-'}",
-        f"class_count_lower: {report.class_count_lower if report.class_count_lower is not None else '-'}",
-    ]
-    header = list(doc.keys())
-    row = [
-        doc[k] if not isinstance(doc[k], dict) else f"{doc[k]['midpoint']}~{doc[k]['radius']}"
-        for k in header
-    ]
-    _emit(config, doc, plain, header, [row])
+    plain = []
+    for k, v in doc.items():
+        if isinstance(v, dict):  # a certified real, shown at 24 digits
+            v = _certified_plain(getattr(report, k))
+        plain.append(f"{k}: {'-' if v is None else v}")
+    _emit(config, doc, plain, list(doc), [doc])
     return EXIT_OK
 
 
-def _witness_plain(r) -> str:
+_WITNESS_FIELDS = ("alphabet", "parikh", "word", "value", "multiplicity")
+
+
+def _witness_plain(w: dict) -> str:
     return (
-        f"word={format_word(r.word)} value={r.value} multiplicity={r.multiplicity} "
-        f"parikh={r.parikh.text}"
+        f"word={w['word']} value={w['value']} multiplicity={w['multiplicity']} "
+        f"parikh={_cell(w['parikh'])}"
     )
-
-
-def _witness_rows(records) -> list[list]:
-    return [
-        [r.alphabet.text, r.parikh.text, format_word(r.word), str(r.value), r.multiplicity]
-        for r in records
-    ]
 
 
 def _parse_m_range(text: str) -> tuple[int, int]:
@@ -364,7 +328,6 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
     alphabet = _parse_alphabet(args)
     if (args.m_range is None) == (args.budget is None):
         raise ValueError("give exactly one of --m-range or --budget")
-    witness_header = ["alphabet", "parikh", "word", "value", "multiplicity"]
 
     if args.m_range is not None:
         m_start, m_end = _parse_m_range(args.m_range)
@@ -377,10 +340,10 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
                     alphabet, parikh, args.target_mu, limit=config.enumeration_limit
                 )
                 if rec is not None:
-                    records.append(rec)
-            doc = {"witnesses": [r.to_json_dict() for r in records]}
-            plain = [_witness_plain(r) for r in records] or ["no witnesses found"]
-            _emit(config, doc, plain, witness_header, _witness_rows(records))
+                    records.append(rec.to_json_dict())
+            doc = {"witnesses": records}
+            plain = [_witness_plain(w) for w in records] or ["no witnesses found"]
+            _emit(config, doc, plain, _WITNESS_FIELDS, records)
             return EXIT_OK
         entries = explorer_mod.growing_multiplicity_scan(
             alphabet, m_start, m_end, limit=config.enumeration_limit
@@ -391,15 +354,12 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
                 for m, mu, rec in entries
             ]
         }
+        rows = [{**e, **e["witness"]} for e in doc["entries"]]
         plain = [
-            f"m={m} max_multiplicity={mu} word={format_word(rec.word)} value={rec.value}"
-            for m, mu, rec in entries
+            f"m={r['m']} max_multiplicity={r['max_multiplicity']} word={r['word']} value={r['value']}"
+            for r in rows
         ]
-        rows = [
-            [m, mu, alphabet.text, rec.parikh.text, format_word(rec.word), str(rec.value)]
-            for m, mu, rec in entries
-        ]
-        _emit(config, doc, plain, ["m", "max_multiplicity", "alphabet", "parikh", "word", "value"], rows)
+        _emit(config, doc, plain, ("m", "max_multiplicity", "alphabet", "parikh", "word", "value"), rows)
         return EXIT_OK
 
     target = args.target_mu if args.target_mu is not None else 2
@@ -412,14 +372,12 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
         "parikhs_scanned": result.parikhs_scanned,
         "budget_exhausted": result.budget_exhausted,
     }
-    plain = [_witness_plain(r) for r in result.records]
-    summary = (
-        f"scanned {result.classes_scanned} classes over {result.parikhs_scanned} Parikh vectors"
-    )
-    if result.budget_exhausted:
+    plain = [_witness_plain(w) for w in doc["witnesses"]]
+    summary = f"scanned {doc['classes_scanned']} classes over {doc['parikhs_scanned']} Parikh vectors"
+    if doc["budget_exhausted"]:
         summary += " (budget exhausted)"
     plain.append(summary)
-    _emit(config, doc, plain, witness_header, _witness_rows(result.records))
+    _emit(config, doc, plain, _WITNESS_FIELDS, doc["witnesses"])
     return EXIT_OK
 
 

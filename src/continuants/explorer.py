@@ -150,12 +150,16 @@ def exact_multiplicity_scan(
     scan stops before the first class that would overrun it.  One record
     is emitted per (class, value) whose value is attained exactly
     target_mu times, carrying the lexicographically smallest witness word.
-    An empty result is a valid outcome.
+    An empty result is a valid outcome; an empty alphabet is a ValueError.
     """
     if target_mu < 1:
         raise ValueError(f"need target_mu >= 1, got {target_mu}")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
+    if alphabet.size == 0:
+        # A Parikh vector has one positive count per letter, so no n >= 1 has
+        # one and the scan over n would never end.
+        raise ValueError("need a non-empty alphabet for the exact-multiplicity scan")
 
     def exact_hits(table):
         return sorted(v for v, c in table.items() if c == target_mu)

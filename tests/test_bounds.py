@@ -35,7 +35,6 @@ from continuants import (
     value_count_upper_bound,
 )
 from continuants import bounds
-from continuants.bounds import _refine
 
 mpmath.mp.dps = 60
 
@@ -204,6 +203,20 @@ class TestDensityThreshold:
         for t in range(1, 5):
             assert density_threshold_s(t, t) == 1
 
+    def test_raises_when_precision_runs_out(self, monkeypatch):
+        precisions = []
+
+        def never_decides(c, q):  # (0, 1) holds every density power
+            precisions.append(q)
+            return Fraction(0), Fraction(1)
+
+        monkeypatch.setattr(bounds, "_half_exp_neg_interval", never_decides)
+        with pytest.raises(PrecisionExhaustedError) as info:
+            density_threshold_s(1, 3, prec=64, max_prec=256)
+        assert info.value.max_prec == 256
+        assert info.value.description == "density_power(1,3,3) vs half-limit"
+        assert precisions == [q + bounds._GUARD_BITS for q in (64, 128, 256)]
+
 
 class TestGrowthFactor:
     def test_certified_against_one(self):
@@ -261,6 +274,20 @@ class TestSmallestAdmissible:
         # below the density threshold: not admissible even if growth > 1
         assert density_threshold_s(1, 3) == 8
         assert not is_admissible(1, 3, 7)
+
+    def test_is_admissible_raises_when_precision_runs_out(self, monkeypatch):
+        precisions = []
+
+        def never_decides(t, l, s, *, prec):  # [1/2, 2] straddles 1 at every precision
+            precisions.append(prec)
+            return CertifiedReal(Fraction(1, 2), Fraction(2), prec)
+
+        monkeypatch.setattr(bounds, "growth_factor", never_decides)
+        with pytest.raises(PrecisionExhaustedError) as info:
+            is_admissible(1, 1, 5, prec=64, max_prec=256)
+        assert info.value.max_prec == 256
+        assert info.value.description == "growth_factor(1,1,5) vs 1"
+        assert precisions == [64, 128, 256]
 
 
 class TestStirlingEnclosure:
@@ -333,7 +360,7 @@ class TestCertifiedReal:
         assert cr.midpoint == Fraction(3, 8)
         assert cr.radius == Fraction(1, 8)
         assert not cr.is_exact
-        assert Fraction(1, 3) in cr
+        assert cr.definitely_greater(Fraction(1, 5)) and cr.definitely_less(Fraction(2, 3))
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
@@ -352,11 +379,6 @@ class TestCertifiedReal:
         assert ser_mid - ser_rad <= cr.lower
         assert cr.upper <= ser_mid + ser_rad
         assert doc["precision_bits"] == 32
-
-    def test_refine_raises_when_precision_runs_out(self):
-        with pytest.raises(PrecisionExhaustedError) as info:
-            _refine(lambda q: None, 64, 256, "stubborn comparison")
-        assert info.value.max_prec == 256
 
 
 class TestBoundsReport:
@@ -414,3 +436,17 @@ class TestBoundsReport:
         monkeypatch.setattr(bounds, "_half_exp_neg_interval", counted)
         assert density_threshold_s(1, 3) == 8  # six values of s scanned
         assert len(precisions) == len(set(precisions)) >= 1
+
+    def test_one_growth_enclosure_when_decided_at_prec(self, monkeypatch):
+        expected = bounds_report(1, 1, 5, 2)
+        assert expected.admissible is True
+        calls = []
+        enclose = bounds.growth_factor
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return enclose(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "growth_factor", counted)
+        assert bounds_report(1, 1, 5, 2) == expected
+        assert calls == [((1, 1, 5), {"prec": bounds.DEFAULT_PREC_BITS})]

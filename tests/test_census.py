@@ -332,6 +332,7 @@ class TestKernels:
         st.integers(0, 4),
     )
     @settings(max_examples=60, deadline=None)
+    @example(((), ()), 3)  # n = 0: the empty word alone
     @example(((7,), (1,)), 2)  # n = 1: no halves, only the middle letter
     @example(((3,), (6,)), 1)  # one letter, n even
     @example(((2**40,), (5,)), 1)  # one letter, n odd, plain rows

@@ -143,6 +143,11 @@ class TestCensusCommand:
         assert rows[0][:5] == ["n", "alphabet", "parikh", "N", "P"]
         assert rows[1][:5] == ["4", "1,2", "2,2", "4", "4"]
 
+    def test_empty_class(self, capsys):
+        code, out, err = run(capsys, "census", "--alphabet", "", "--parikh", "", "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "n,alphabet,parikh,N,P,max_multiplicity,max_value,min_value,spectrum\n0,,,1,1,1,1,1,1:1\n"
+
     def test_workers_flag_changes_nothing(self, capsys):
         _, out1, _ = run(capsys, "census", "--alphabet", "1,2,3", "--parikh", "2,2,2", "--format", "json")
         _, out8, _ = run(
@@ -222,11 +227,91 @@ class TestExploreCommand:
         assert rows[0] == ["alphabet", "parikh", "word", "value", "multiplicity"]
         assert rows[1] == ["1,2,3,4", "1,1,1,1", "1,3,4,2", "38", "2"]
 
+    def test_empty_alphabet(self, capsys):
+        code, out, err = run(capsys, "explore", "--alphabet", "", "--m-range", "1..2")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "m=1 max_multiplicity=1 word= value=1\nm=2 max_multiplicity=1 word= value=1\n"
+        code, out, err = run(capsys, "explore", "--alphabet", "", "--budget", "10")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: need a non-empty alphabet for the exact-multiplicity scan\n"
+
     def test_requires_mode(self, capsys):
         code, _, err = run(capsys, "explore", "--alphabet", "1,2")
         assert code == EXIT_USAGE
         code, _, err = run(capsys, "explore", "--alphabet", "1,2", "--m-range", "1..2", "--budget", "3")
         assert code == EXIT_USAGE
+
+
+CENSUS_PLAIN = """\
+n: 5
+alphabet: 1,2,3
+parikh: 2,2,1
+N: 16
+P: 10
+max_multiplicity: 3
+max_value: 44
+min_value: 31
+spectrum: 1:6;2:2;3:2
+witnesses:
+  mu=3 value=39 words: 1,1,2,3,2 1,1,3,2,2 2,1,3,1,2
+  mu=3 value=41 words: 1,1,2,2,3 2,1,1,3,2 2,1,2,1,3
+  mu=2 value=33 words: 1,2,3,2,1 1,3,1,2,2
+  mu=2 value=37 words: 1,2,1,2,3 1,2,2,1,3
+  mu=1 value=31 words: 1,2,2,3,1
+  mu=1 value=34 words: 1,2,1,3,2
+  mu=1 value=35 words: 1,3,2,1,2
+  mu=1 value=36 words: 1,2,3,1,2
+  mu=1 value=43 words: 2,2,1,1,3
+  mu=1 value=44 words: 2,1,1,2,3
+"""
+
+BOUNDS_PLAIN = """\
+t: 1
+l: 2
+s: 3
+m: -
+s_threshold: 4
+m_threshold: 593
+density_power: 1/16 (exact)
+growth_factor: 0.167195922049079267172141 +- 4.01113109209878838458991E-25
+admissible: False
+admissible_s: -
+value_count_upper: -
+class_count_lower: -
+"""
+
+BOUNDS_CSV = """\
+t,l,s,m,s_threshold,m_threshold,density_power,growth_factor,admissible,admissible_s,value_count_upper,class_count_lower
+1,2,3,,4,593,0.0625~0,0.167195922049079267172141401113109210~1.21161549517077055280252884460347586E-37,False,,,
+"""
+
+EXPLORE_M_RANGE_CSV = """\
+m,max_multiplicity,alphabet,parikh,word,value
+1,1,"1,2","1,1","1,2",3
+2,1,"1,2","2,2","1,2,2,1",10
+3,2,"1,2","3,3","1,1,2,2,2,1",41
+"""
+
+
+class TestOutputBytes:
+    """Plain and CSV output, byte for byte, one golden per subcommand."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["census", "--alphabet", "1,2,3", "--parikh", "2,2,1"], CENSUS_PLAIN),
+            (["bounds", "--t", "1", "--l", "2", "--s", "3"], BOUNDS_PLAIN),
+            (["bounds", "--t", "1", "--l", "2", "--s", "3", "--format", "csv"], BOUNDS_CSV),
+            (["explore", "--alphabet", "1,2", "--m-range", "1..3", "--format", "csv"], EXPLORE_M_RANGE_CSV),
+            (["continuant", "2,1,1,2", "--format", "csv"], 'word,value\n"2,1,1,2",13\n'),
+            (
+                ["wmax", "--alphabet", "1,2,3", "--parikh", "2,2,2", "--verify", "--format", "csv"],
+                'alphabet,parikh,word,verified\n"1,2,3","2,2,2","3,2,1,1,2,3",True\n',
+            ),
+        ],
+    )
+    def test_golden(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (EXIT_OK, expected, "")
 
 
 class TestGlobalFlags:

@@ -138,3 +138,8 @@ class TestExactMultiplicityScan:
 
     def test_empty_result_is_valid(self):
         assert exact_multiplicity_scan(alpha(1, 2), 2, 5).records == ()
+
+    def test_empty_alphabet_rejected(self):
+        # No Parikh vector of n >= 1 has zero letters, so the scan could not end.
+        with pytest.raises(ValueError, match="non-empty alphabet"):
+            exact_multiplicity_scan(alpha(), 2, 10)
