@@ -37,7 +37,6 @@ from .census import (
 from .core import (
     Alphabet,
     CanonicalWord,
-    LacunaryShape,
     ParikhVector,
     Word,
     abelian_class_of,
@@ -77,7 +76,6 @@ __all__ = [
     "ClassTooLargeError",
     "ExactSearchResult",
     "ExtremalResult",
-    "LacunaryShape",
     "ParikhVector",
     "PrecisionExhaustedError",
     "ValueBudgetExceededError",

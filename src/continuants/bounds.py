@@ -40,6 +40,8 @@ from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
+from .core import check_shape
+
 DEFAULT_PREC_BITS = 128
 MAX_PREC_BITS = 4096
 
@@ -218,18 +220,13 @@ def value_count_upper_bound(s: int, m: int) -> int:
     return (1 << (2 * s)) * math.factorial(s) * math.factorial(s + 1) ** m
 
 
-def _check_shape(t: int, l: int, s: int) -> None:
-    if not (1 <= t <= l < s):
-        raise ValueError(f"need 1 <= t <= l < s, got t={t}, l={l}, s={s}")
-
-
 def class_count_lower_bound(t: int, l: int, s: int, m: int) -> int:
     """Lower bound floor(((s-l+t)m)! / (2 (m!)^{s-l+t})) on the class size.
 
     The true quotient is a half-integer when palindromes exist; flooring
     keeps it a valid lower bound for the reversal-quotient count.
     """
-    _check_shape(t, l, s)
+    check_shape(t, l, s)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     k = s - l + t
@@ -262,8 +259,7 @@ def simplified_bound_threshold(s: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _density_fraction(t: int, l: int, s: int) -> Fraction:
-    if not 1 <= t <= l:
-        raise ValueError(f"need 1 <= t <= l, got t={t}, l={l}")
+    check_shape(t, l)
     if s < l - t:
         raise ValueError(f"density base is negative for s={s} < l-t={l - t}")
     return Fraction(s - l + t, s + 1) ** (s + 1)
@@ -298,8 +294,7 @@ def density_threshold_s(
     enclosure never changes a decision, so the scan keeps the precision it
     has reached and rebuilds e^{-c}/2 only when the precision doubles.
     """
-    if not 1 <= t <= l:
-        raise ValueError(f"need 1 <= t <= l, got t={t}, l={l}")
+    check_shape(t, l)
     c = l - t + 1
     s, q = c, prec
     thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
@@ -322,7 +317,7 @@ def growth_factor(t: int, l: int, s: int, *, prec: int = DEFAULT_PREC_BITS) -> C
     (363/400) e^{s+1} / (sqrt(2 pi (s+1)) (s-l+t)^{l-t+1}) * e^{-(l-t)-1}/2,
     with the e powers folded to e^{s-l+t}.
     """
-    _check_shape(t, l, s)
+    check_shape(t, l, s)
     q = prec + _GUARD_BITS
     k = s - l + t
     e_pow = _iv_powi(_e_interval(q), k)
@@ -382,7 +377,7 @@ def is_admissible(
     Also requires s >= density_threshold_s(t, l) (the growth bound only
     applies from there on) and s > l (the shape itself needs it).
     """
-    _check_shape(t, l, s)
+    check_shape(t, l, s)
     if s < max(density_threshold_s(t, l, prec=prec, max_prec=max_prec), l + 1):
         return False
     return _growth_exceeds_one(t, l, s, growth_factor(t, l, s, prec=prec), max_prec)
@@ -482,14 +477,13 @@ def bounds_report(
     max_prec: int = MAX_PREC_BITS,
 ) -> BoundsReport:
     """Evaluate every bound derivable from the given parameters."""
-    if not 1 <= t <= l:
-        raise ValueError(f"need 1 <= t <= l, got t={t}, l={l}")
+    check_shape(t, l)
     if m is not None and s is None:
         raise ValueError("m was given without s")
     s_thr = density_threshold_s(t, l, prec=prec, max_prec=max_prec)
     m_thr = dens = growth = adm = vcu = ccl = None
     if s is not None:
-        _check_shape(t, l, s)
+        check_shape(t, l, s)
         m_thr = simplified_bound_threshold(s)
         dens = density_power(t, l, s)
         growth = growth_factor(t, l, s, prec=prec)

@@ -26,6 +26,7 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import bounds as bounds_mod
 from . import census as census_mod
@@ -231,7 +232,12 @@ def _emit(
 
 def _certified_plain(cr) -> str:
     if cr.is_exact:
-        return f"{cr.lower} (exact)"
+        # Every digit: Decimal prints integers past the int-to-str digit limit.
+        x = cr.lower
+        digits = str(Decimal(x.numerator))
+        if x.denominator != 1:
+            digits += f"/{Decimal(x.denominator)}"
+        return f"{digits} (exact)"
     d = cr.to_json_dict(digits=24)
     return f"{d['midpoint']} +- {d['radius']}"
 

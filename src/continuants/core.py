@@ -88,50 +88,23 @@ def canonicalize(word: Iterable[int]) -> CanonicalWord:
     return CanonicalWord._trusted(t if t <= r else r)
 
 
-@dataclass(frozen=True)
-class LacunaryShape:
-    """Descriptor (t, l, s, low) of an alphabet {b_1<...<b_t} | {l+1,...,s}.
+def check_shape(t: int, l: int, s: int | None = None) -> None:
+    """Raise ValueError unless 1 <= t <= l, and l < s when s is given.
 
-    The low part ``low = (b_1, ..., b_t)`` sits entirely at or below ``l``
-    and the high part is the full integer interval l+1 .. s.
+    (t, l, s) is the shape of a lacunary alphabet {b_1<...<b_t} | {l+1..s}.
     """
-
-    t: int
-    l: int
-    s: int
-    low: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.t <= self.l < self.s):
-            raise ValueError(f"need 1 <= t <= l < s, got t={self.t}, l={self.l}, s={self.s}")
-        if len(self.low) != self.t:
-            raise ValueError(f"low part has {len(self.low)} letters, expected t={self.t}")
-        if any(b < 1 for b in self.low):
-            raise ValueError("low-part letters must be >= 1")
-        if any(x >= y for x, y in zip(self.low, self.low[1:])):
-            raise ValueError("low-part letters must be strictly increasing")
-        if self.low[-1] > self.l:
-            raise ValueError(f"largest low-part letter {self.low[-1]} exceeds l={self.l}")
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return self.low + tuple(range(self.l + 1, self.s + 1))
-
-    @property
-    def size(self) -> int:
-        return self.s - self.l + self.t
+    if s is None:
+        if not 1 <= t <= l:
+            raise ValueError(f"need 1 <= t <= l, got t={t}, l={l}")
+    elif not 1 <= t <= l < s:
+        raise ValueError(f"need 1 <= t <= l < s, got t={t}, l={l}, s={s}")
 
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A strictly increasing tuple of positive integer letters.
-
-    ``shape`` is an optional lacunary descriptor; when present the letters
-    are exactly shape.low followed by the interval l+1 .. s.
-    """
+    """A strictly increasing tuple of positive integer letters."""
 
     letters: tuple[int, ...]
-    shape: LacunaryShape | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -140,15 +113,25 @@ class Alphabet:
                 raise ValueError(f"alphabet letters must be integers >= 1, got {a!r}")
         if any(x >= y for x, y in zip(self.letters, self.letters[1:])):
             raise ValueError("alphabet letters must be strictly increasing")
-        if self.shape is not None and self.shape.letters != self.letters:
-            raise ValueError(
-                f"lacunary descriptor expands to {self.shape.letters}, not {self.letters}"
-            )
 
     @classmethod
     def from_lacunary(cls, t: int, l: int, s: int, low: Iterable[int]) -> "Alphabet":
-        shape = LacunaryShape(t, l, s, tuple(low))
-        return cls(shape.letters, shape)
+        """The lacunary alphabet {b_1<...<b_t} | {l+1..s}, low = (b_1, ..., b_t).
+
+        The low part sits entirely at or below l; the high part is the full
+        integer interval l+1 .. s.
+        """
+        check_shape(t, l, s)
+        low = tuple(low)
+        if len(low) != t:
+            raise ValueError(f"low part has {len(low)} letters, expected t={t}")
+        if any(b < 1 for b in low):
+            raise ValueError("low-part letters must be >= 1")
+        if any(x >= y for x, y in zip(low, low[1:])):
+            raise ValueError("low-part letters must be strictly increasing")
+        if low[-1] > l:
+            raise ValueError(f"largest low-part letter {low[-1]} exceeds l={l}")
+        return cls(low + tuple(range(l + 1, s + 1)))
 
     @property
     def size(self) -> int:
@@ -303,10 +286,7 @@ def generalized_fibonacci(r: int, j: int) -> int:
         raise ValueError(f"need r >= 1, got {r}")
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
-    prev, cur = 0, 1
-    for _ in range(j):
-        prev, cur = cur, r * cur + prev
-    return cur
+    return continuant((r,) * j)
 
 
 # ---------------------------------------------------------------------------

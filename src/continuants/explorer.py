@@ -11,6 +11,7 @@ at all is an empirical question this module exists to answer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -40,7 +41,11 @@ class WitnessRecord:
 
 @dataclass(frozen=True)
 class ExactSearchResult:
-    """Outcome of a budgeted exact-multiplicity scan."""
+    """Outcome of a budgeted exact-multiplicity scan.
+
+    The scan over n never runs out of Parikh vectors, so only the budget
+    ends it: ``budget_exhausted`` is always True.
+    """
 
     records: tuple[WitnessRecord, ...]
     classes_scanned: int
@@ -48,25 +53,21 @@ class ExactSearchResult:
     budget_exhausted: bool
 
 
-def _table(alphabet, parikh, limit, value_budget, witness_values):
-    return _value_table(
+def _witnesses(alphabet, parikh, pick, limit, value_budget) -> list[WitnessRecord]:
+    """One record per value that ``pick`` chooses from the class's value table,
+    in pick's order, each carrying the value's lexicographically smallest word."""
+    _, table, first_words = _value_table(
         alphabet,
         parikh,
         limit=limit,
         value_budget=value_budget,
         words_per_value=1,
-        witness_values=witness_values,
+        witness_values=pick,
     )
-
-
-def _record(alphabet, parikh, table, first_words, value) -> WitnessRecord:
-    return WitnessRecord(
-        alphabet=alphabet,
-        parikh=parikh,
-        word=CanonicalWord._trusted(first_words[value][0]),
-        value=value,
-        multiplicity=table[value],
-    )
+    return [
+        WitnessRecord(alphabet, parikh, CanonicalWord._trusted(words[0]), value, table[value])
+        for value, words in first_words.items()
+    ]
 
 
 def find_witness(
@@ -90,10 +91,8 @@ def find_witness(
         hits = [v for v, c in table.items() if c >= target_mu]
         return [min(hits)] if hits else []
 
-    _, table, first_words = _table(alphabet, parikh, limit, value_budget, smallest_hit)
-    if not first_words:
-        return None
-    return _record(alphabet, parikh, table, first_words, next(iter(first_words)))
+    records = _witnesses(alphabet, parikh, smallest_hit, limit, value_budget)
+    return records[0] if records else None
 
 
 def growing_multiplicity_scan(
@@ -120,8 +119,7 @@ def growing_multiplicity_scan(
     out = []
     for m in range(m_start, m_end + 1):
         parikh = ParikhVector.equipartitioned(alphabet.size, m)
-        _, table, first_words = _table(alphabet, parikh, limit, value_budget, smallest_top)
-        record = _record(alphabet, parikh, table, first_words, next(iter(first_words)))
+        [record] = _witnesses(alphabet, parikh, smallest_top, limit, value_budget)
         out.append((m, record.multiplicity, record))
     return out
 
@@ -147,9 +145,10 @@ def exact_multiplicity_scan(
     """Scan Parikh vectors in increasing n, then lex, for exact-multiplicity hits.
 
     ``budget`` caps the total number of reversal classes enumerated; the
-    scan stops before the first class that would overrun it.  One record
-    is emitted per (class, value) whose value is attained exactly
-    target_mu times, carrying the lexicographically smallest witness word.
+    scan stops before the first class that would overrun it, and only
+    there.  One record is emitted per (class, value) whose value is
+    attained exactly target_mu times, carrying the lexicographically
+    smallest witness word.
     An empty result is a valid outcome; an empty alphabet is a ValueError.
     """
     if target_mu < 1:
@@ -165,29 +164,13 @@ def exact_multiplicity_scan(
         return sorted(v for v, c in table.items() if c == target_mu)
 
     records: list[WitnessRecord] = []
-    scanned = 0
-    parikhs = 0
-    exhausted = False
-    n = alphabet.size
-    while True:
+    scanned = parikhs = 0
+    for n in itertools.count(alphabet.size):
         for counts in _positive_compositions(n, alphabet.size):
             parikh = ParikhVector(counts)
             size = exact_class_count(parikh)
             if scanned + size > budget:
-                exhausted = True
-                break
-            _, table, first_words = _table(alphabet, parikh, limit, value_budget, exact_hits)
+                return ExactSearchResult(tuple(records), scanned, parikhs, budget_exhausted=True)
+            records += _witnesses(alphabet, parikh, exact_hits, limit, value_budget)
             scanned += size
             parikhs += 1
-            records.extend(_record(alphabet, parikh, table, first_words, v) for v in first_words)
-        else:
-            n += 1
-            continue
-        break
-    return ExactSearchResult(
-        records=tuple(records),
-        classes_scanned=scanned,
-        parikhs_scanned=parikhs,
-        budget_exhausted=exhausted,
-    )
-

@@ -79,3 +79,21 @@ def test_every_job_may_pass_workers():
     argv = ["census", "--alphabet", "1,2", "--parikh", "2,2", "--workers", "2", "--format", "json"]
     args = cli.build_parser().parse_args(argv)
     assert (args.command, args.workers, args.format) == ("census", 2, "json")
+
+
+def test_explorer_tables_go_through_the_module_global(monkeypatch):
+    # The probe counts explorer.table.calls by replacing explorer._value_table.
+    calls = []
+    table = explorer._value_table
+
+    def counted(alphabet, parikh, **kwargs):
+        calls.append(parikh.counts)
+        return table(alphabet, parikh, **kwargs)
+
+    monkeypatch.setattr(explorer, "_value_table", counted)
+    explorer.find_witness(ALPHABET, PARIKH, 2)
+    entries = explorer.growing_multiplicity_scan(ALPHABET, 1, 2)
+    result = explorer.exact_multiplicity_scan(ALPHABET, 2, 20)
+    assert calls[:3] == [PARIKH.counts, (1, 1, 1), (2, 2, 2)]
+    assert len(calls) == 3 + result.parikhs_scanned
+    assert [(m, mu, rec.multiplicity) for m, mu, rec in entries] == [(1, 1, 1), (2, 3, 3)]

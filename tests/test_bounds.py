@@ -450,3 +450,38 @@ class TestBoundsReport:
         monkeypatch.setattr(bounds, "growth_factor", counted)
         assert bounds_report(1, 1, 5, 2) == expected
         assert calls == [((1, 1, 5), {"prec": bounds.DEFAULT_PREC_BITS})]
+
+
+class TestShapeRule:
+    """One shape rule: every entry point that meets a bad shape raises its one message."""
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((1, 2, 2), "need 1 <= t <= l < s, got t=1, l=2, s=2"),
+            ((2, 3, 1), "need 1 <= t <= l < s, got t=2, l=3, s=1"),
+            ((0, 1), "need 1 <= t <= l, got t=0, l=1"),
+            ((3, 2), "need 1 <= t <= l, got t=3, l=2"),
+        ],
+    )
+    def test_every_entry_point_raises_the_same_message(self, shape, message):
+        if len(shape) == 3:
+            t, l, s = shape
+            calls = [
+                lambda: Alphabet.from_lacunary(t, l, s, range(1, t + 1)),
+                lambda: class_count_lower_bound(t, l, s, 1),
+                lambda: growth_factor(t, l, s),
+                lambda: is_admissible(t, l, s),
+                lambda: bounds_report(t, l, s),
+            ]
+        else:
+            t, l = shape
+            calls = [
+                lambda: density_threshold_s(t, l),
+                lambda: density_power(t, l, l + 1),
+                lambda: bounds_report(t, l),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message

@@ -1,12 +1,15 @@
 """CLI surface: parsing, formats, exit codes, environment overrides."""
 
 import csv
+import functools
 import io
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from continuants import cli, exact_class_count, parse_word
+from continuants import bounds, cli, exact_class_count, parse_word
 from continuants.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 
@@ -107,6 +110,23 @@ class TestWmaxCommand:
         assert code == EXIT_OK
         assert out.strip() == "3,1,2"
 
+    @pytest.mark.parametrize(
+        "lacunary, message",
+        [
+            ("1,1", "--lacunary needs at least t,l,s and one low-part letter"),
+            ("1,x,3,1", "invalid lacunary field: 'x' is not an integer"),
+            ("2,3,6,1", "--lacunary lists 1 low-part letters, expected t=2"),
+            ("1,2,2,1", "need 1 <= t <= l < s, got t=1, l=2, s=2"),
+            ("3,2,5,1,2,3", "need 1 <= t <= l < s, got t=3, l=2, s=5"),
+            ("2,3,6,0,1", "low-part letters must be >= 1"),
+            ("2,3,5,3,1", "low-part letters must be strictly increasing"),
+            ("2,2,4,1,3", "largest low-part letter 3 exceeds l=2"),
+        ],
+    )
+    def test_bad_lacunary(self, capsys, lacunary, message):
+        code, out, err = run(capsys, "wmax", "--lacunary", lacunary, "--parikh", "1,1,1")
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
 
 class TestCensusCommand:
     def test_json_golden(self, capsys):
@@ -185,6 +205,28 @@ class TestBoundsCommand:
     def test_bad_shape(self, capsys):
         code, _, err = run(capsys, "bounds", "--t", "2", "--l", "1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("s", [1369, 1370])
+    def test_every_digit_of_an_exact_density(self, capsys, monkeypatch, s):
+        # From s = 1370 on, the plain density fraction has more than 4300
+        # digits, Python's default limit for int-to-str conversion.  The
+        # report is built once and rendered in all three formats.
+        monkeypatch.setattr(bounds, "bounds_report", functools.cache(bounds.bounds_report))
+        argv = ["bounds", "--t", "1", "--l", "1", "--s", str(s)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        [line] = [x for x in out.splitlines() if x.startswith("density_power: ")]
+        num, den = line.removeprefix("density_power: ").removesuffix(" (exact)").split("/")
+        f = Fraction(s, s + 1) ** (s + 1)
+        assert (Decimal(num), Decimal(den)) == (f.numerator, f.denominator)
+        assert (max(len(num), len(den)) > 4300) == (s >= 1370)
+
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["density_power"]["precision_bits"] == 0  # exact
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert len(list(csv.reader(io.StringIO(out)))) == 2
 
 
 class TestExploreCommand:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from continuants import (
     Alphabet,
     CanonicalWord,
-    LacunaryShape,
     ParikhVector,
     Word,
     abelian_class_of,
@@ -228,8 +227,8 @@ class TestAlphabetAndParikh:
 
     def test_lacunary_expansion(self):
         a = Alphabet.from_lacunary(2, 3, 6, (1, 3))
-        assert a.letters == (1, 3, 4, 5, 6)
-        assert a.shape.size == 5
+        assert a == Alphabet((1, 3, 4, 5, 6))
+        assert a.size == 5
 
     def test_lacunary_full_alphabet(self):
         # b_1 = t = l = 1 gives the largest alphabet {1, ..., s}.
@@ -237,12 +236,17 @@ class TestAlphabetAndParikh:
         assert a.letters == (1, 2, 3, 4)
 
     def test_lacunary_validation(self):
-        with pytest.raises(ValueError):
-            LacunaryShape(1, 2, 2, (1,))  # needs l < s
-        with pytest.raises(ValueError):
-            LacunaryShape(2, 2, 4, (1, 3))  # b_t > l
-        with pytest.raises(ValueError):
-            LacunaryShape(2, 3, 5, (3, 1))  # low part not increasing
+        cases = [
+            ((1, 2, 2, (1,)), "need 1 <= t <= l < s, got t=1, l=2, s=2"),
+            ((2, 3, 6, (1,)), "low part has 1 letters, expected t=2"),
+            ((2, 3, 6, (0, 1)), "low-part letters must be >= 1"),
+            ((2, 3, 5, (3, 1)), "low-part letters must be strictly increasing"),
+            ((2, 2, 4, (1, 3)), "largest low-part letter 3 exceeds l=2"),
+        ]
+        for shape, message in cases:
+            with pytest.raises(ValueError) as exc:
+                Alphabet.from_lacunary(*shape)
+            assert str(exc.value) == message
 
     def test_parikh_counts_positive(self):
         with pytest.raises(ValueError):
