@@ -15,7 +15,6 @@ from .bounds import (
     density_power,
     density_threshold_s,
     growth_factor,
-    growth_ratio_sides,
     is_admissible,
     simplified_bound_threshold,
     smallest_admissible_s,
@@ -100,7 +99,6 @@ __all__ = [
     "generalized_fibonacci",
     "growing_multiplicity_scan",
     "growth_factor",
-    "growth_ratio_sides",
     "is_admissible",
     "max_arrangement",
     "multiplicity_of",

@@ -61,9 +61,10 @@ class PrecisionExhaustedError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Rational interval kernel.  Intervals are (lo, hi) Fraction pairs, lo <= hi,
-# positive unless noted.  Constants are rounded outward to dyadics at q bits;
-# +,*,/ stay exact on Fractions, sqrt rounds outward at q bits.
+# Rational enclosures.  Each quantity is a (lo, hi) pair of exact Fractions,
+# lo <= hi.  The constants e and pi are rounded outward to q-bit dyadics and
+# sqrt(2 pi n) outward at q bits; everything else is exact Fraction arithmetic,
+# with each endpoint built from the matching endpoints of its positive inputs.
 # ---------------------------------------------------------------------------
 
 def _dyadic_floor(x: Fraction, q: int) -> Fraction:
@@ -115,27 +116,11 @@ def _pi_interval(q: int) -> tuple[Fraction, Fraction]:
     return _dyadic_floor(lo, q), _dyadic_ceil(hi, q)
 
 
-def _iv_scale(iv: tuple[Fraction, Fraction], c: Fraction) -> tuple[Fraction, Fraction]:
-    assert c > 0
-    return iv[0] * c, iv[1] * c
-
-
-def _iv_div(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    assert b[0] > 0
-    return a[0] / b[1], a[1] / b[0]
-
-
-def _iv_powi(iv: tuple[Fraction, Fraction], k: int) -> tuple[Fraction, Fraction]:
-    assert iv[0] >= 0 and k >= 0
-    return iv[0] ** k, iv[1] ** k
-
-
-def _iv_sqrt(iv: tuple[Fraction, Fraction], q: int) -> tuple[Fraction, Fraction]:
-    lo, hi = iv
-    assert lo >= 0
-    t_lo = (lo.numerator << (2 * q)) // lo.denominator
-    r_lo = math.isqrt(t_lo)
-    t_hi = -((-hi.numerator << (2 * q)) // hi.denominator)
+def _sqrt_2pi_interval(n: int, q: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of sqrt(2 pi n) for n >= 1, isqrt rounded outward at q bits."""
+    pi_lo, pi_hi = _pi_interval(q)
+    r_lo = math.isqrt((2 * n * pi_lo.numerator << (2 * q)) // pi_lo.denominator)
+    t_hi = -((-2 * n * pi_hi.numerator << (2 * q)) // pi_hi.denominator)
     r_hi = math.isqrt(t_hi)
     if r_hi * r_hi < t_hi:
         r_hi += 1
@@ -320,11 +305,10 @@ def growth_factor(t: int, l: int, s: int, *, prec: int = DEFAULT_PREC_BITS) -> C
     check_shape(t, l, s)
     q = prec + _GUARD_BITS
     k = s - l + t
-    e_pow = _iv_powi(_e_interval(q), k)
-    root = _iv_sqrt(_iv_scale(_pi_interval(q), Fraction(2 * (s + 1))), q)
-    denom = _iv_scale(root, Fraction(k ** (l - t + 1)))
-    lo, hi = _iv_div(_iv_scale(e_pow, Fraction(363, 800)), denom)
-    return CertifiedReal(lo, hi, prec)
+    e_lo, e_hi = _e_interval(q)
+    r_lo, r_hi = _sqrt_2pi_interval(s + 1, q)
+    c = Fraction(363, 800 * k ** (l - t + 1))
+    return CertifiedReal(c * e_lo**k / r_hi, c * e_hi**k / r_lo, prec)
 
 
 def _growth_exceeds_one(t: int, l: int, s: int, g: CertifiedReal, max_prec: int) -> bool:
@@ -378,7 +362,7 @@ def is_admissible(
     applies from there on) and s > l (the shape itself needs it).
     """
     check_shape(t, l, s)
-    if s < max(density_threshold_s(t, l, prec=prec, max_prec=max_prec), l + 1):
+    if s < density_threshold_s(t, l, prec=prec, max_prec=max_prec):
         return False
     return _growth_exceeds_one(t, l, s, growth_factor(t, l, s, prec=prec), max_prec)
 
@@ -393,34 +377,11 @@ def stirling_enclosure(n: int, *, prec: int = DEFAULT_PREC_BITS) -> tuple[Certif
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     q = prec + _GUARD_BITS
-    root = _iv_sqrt(_iv_scale(_pi_interval(q), Fraction(2 * n)), q)
-    num = _iv_scale(root, Fraction(n**n))
-    base = _iv_div(num, _iv_powi(_e_interval(q), n))
-    upper = _iv_scale(base, Fraction(12, 11))
-    return CertifiedReal(base[0], base[1], prec), CertifiedReal(upper[0], upper[1], prec)
-
-
-def growth_ratio_sides(
-    t: int,
-    l: int,
-    s: int,
-    m: int,
-    class_size: int,
-    distinct_values: int,
-    *,
-    prec: int = DEFAULT_PREC_BITS,
-) -> tuple[Fraction, CertifiedReal]:
-    """The two sides of the asymptotic ratio statement, for inspection only.
-
-    Returns (exact N/P from a census, certified growth_factor^m).  The
-    inequality between them is asymptotic in m and is not asserted at desk
-    scale.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    g = growth_factor(t, l, s, prec=prec)
-    lo, hi = _iv_powi((g.lower, g.upper), m)
-    return Fraction(class_size, distinct_values), CertifiedReal(lo, hi, prec)
+    e_lo, e_hi = _e_interval(q)
+    r_lo, r_hi = _sqrt_2pi_interval(n, q)
+    lo, hi = r_lo * n**n / e_hi**n, r_hi * n**n / e_lo**n
+    c = Fraction(12, 11)
+    return CertifiedReal(lo, hi, prec), CertifiedReal(c * lo, c * hi, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +448,7 @@ def bounds_report(
         m_thr = simplified_bound_threshold(s)
         dens = density_power(t, l, s)
         growth = growth_factor(t, l, s, prec=prec)
-        adm = s >= max(s_thr, l + 1) and _growth_exceeds_one(t, l, s, growth, max_prec)
+        adm = s >= s_thr and _growth_exceeds_one(t, l, s, growth, max_prec)
         if m is not None:
             vcu = value_count_upper_bound(s, m)
             ccl = class_count_lower_bound(t, l, s, m)

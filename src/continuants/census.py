@@ -46,6 +46,7 @@ from .core import (
     check_aligned,
     continuant,
     format_word,
+    int_text,
 )
 
 DEFAULT_CLASS_LIMIT = 10**8
@@ -377,7 +378,7 @@ class ValueWitnesses:
 
     def to_json_dict(self) -> dict:
         return {
-            "value": str(self.value),
+            "value": int_text(self.value),
             "multiplicity": self.multiplicity,
             "words": [format_word(w) for w in self.words],
         }
@@ -418,12 +419,12 @@ class CensusReport:
             "n": self.n,
             "alphabet": list(self.alphabet.letters),
             "parikh": list(self.parikh.counts),
-            "N": str(self.class_size),
-            "P": str(self.distinct_values),
+            "N": int_text(self.class_size),
+            "P": int_text(self.distinct_values),
             "spectrum": [[mu, cnt] for mu, cnt in self.spectrum],
             "max_multiplicity": self.max_multiplicity,
-            "max_value": str(self.max_value),
-            "min_value": str(self.min_value),
+            "max_value": int_text(self.max_value),
+            "min_value": int_text(self.min_value),
             "witnesses": [w.to_json_dict() for w in self.witnesses],
         }
 

@@ -24,9 +24,8 @@ import io
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from decimal import Decimal
 
 from . import bounds as bounds_mod
 from . import census as census_mod
@@ -34,7 +33,7 @@ from . import explorer as explorer_mod
 from . import extremal as extremal_mod
 from .bounds import PrecisionExhaustedError
 from .census import ClassTooLargeError, ValueBudgetExceededError
-from .core import Alphabet, ParikhVector, _parse_positive, continuant, format_word, parse_word
+from .core import Alphabet, ParikhVector, _parse_positive, continuant, format_word, int_text, parse_word
 
 ENV_PREFIX = "CONTINUANTS_"
 
@@ -210,12 +209,12 @@ def _cell(value):
 
 
 def _emit(
-    config: RunConfig, doc: dict, plain: list[str], fields: Sequence[str], records: list[dict]
+    config: RunConfig, doc: dict, plain: Callable[[], list[str]], fields: Sequence[str], records: list[dict]
 ) -> None:
-    """Print doc as JSON, the plain lines, or one CSV row of fields per record.
+    """Print doc as JSON, the lines plain() returns, or one CSV row of fields per record.
 
     plain and records are read from doc, so every format prints the
-    document's own strings.
+    document's own strings; plain is called only for the plain format.
     """
     if config.output_format == "json":
         print(json.dumps(doc, indent=2))
@@ -226,17 +225,16 @@ def _emit(
         writer.writerows([_cell(r[k]) for k in fields] for r in records)
         sys.stdout.write(buf.getvalue())
     else:
-        for line in plain:
+        for line in plain():
             print(line)
 
 
 def _certified_plain(cr) -> str:
     if cr.is_exact:
-        # Every digit: Decimal prints integers past the int-to-str digit limit.
         x = cr.lower
-        digits = str(Decimal(x.numerator))
+        digits = int_text(x.numerator)
         if x.denominator != 1:
-            digits += f"/{Decimal(x.denominator)}"
+            digits += f"/{int_text(x.denominator)}"
         return f"{digits} (exact)"
     d = cr.to_json_dict(digits=24)
     return f"{d['midpoint']} +- {d['radius']}"
@@ -248,8 +246,8 @@ def _certified_plain(cr) -> str:
 
 def _cmd_continuant(args: argparse.Namespace, config: RunConfig) -> int:
     word = parse_word(args.word)
-    doc = {"word": format_word(word), "value": str(continuant(word))}
-    _emit(config, doc, [doc["value"]], list(doc), [doc])
+    doc = {"word": format_word(word), "value": int_text(continuant(word))}
+    _emit(config, doc, lambda: [doc["value"]], list(doc), [doc])
     return EXIT_OK
 
 
@@ -268,9 +266,12 @@ def _cmd_wmax(args: argparse.Namespace, config: RunConfig) -> int:
         "word": format_word(word),
         "verified": verified,
     }
-    plain = [doc["word"]]
-    if doc["verified"] is not None:
-        plain.append("verified" if doc["verified"] else "NOT verified")
+
+    def plain():
+        if doc["verified"] is None:
+            return [doc["word"]]
+        return [doc["word"], "verified" if doc["verified"] else "NOT verified"]
+
     _emit(config, doc, plain, list(doc), [doc])
     return EXIT_OK
 
@@ -284,11 +285,13 @@ def _cmd_census(args: argparse.Namespace, config: RunConfig) -> int:
     alphabet = _parse_alphabet(args)
     parikh = _parse_parikh(args.parikh)
     doc = census_mod.run_census(alphabet, parikh, limit=config.enumeration_limit).to_json_dict()
-    plain = [f"{k}: {_cell(doc[k])}" for k in _CENSUS_FIELDS] + ["witnesses:"]
-    plain += [
-        f"  mu={w['multiplicity']} value={w['value']} words: {' '.join(w['words'])}"
-        for w in doc["witnesses"]
-    ]
+
+    def plain():
+        return [f"{k}: {_cell(doc[k])}" for k in _CENSUS_FIELDS] + ["witnesses:"] + [
+            f"  mu={w['multiplicity']} value={w['value']} words: {' '.join(w['words'])}"
+            for w in doc["witnesses"]
+        ]
+
     _emit(config, doc, plain, _CENSUS_FIELDS, [doc])
     return EXIT_OK
 
@@ -304,11 +307,15 @@ def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> int:
         max_prec=config.max_precision_bits,
     )
     doc = report.to_json_dict()
-    plain = []
-    for k, v in doc.items():
-        if isinstance(v, dict):  # a certified real, shown at 24 digits
-            v = _certified_plain(getattr(report, k))
-        plain.append(f"{k}: {'-' if v is None else v}")
+
+    def plain():
+        lines = []
+        for k, v in doc.items():
+            if isinstance(v, dict):  # a certified real, shown at 24 digits
+                v = _certified_plain(getattr(report, k))
+            lines.append(f"{k}: {'-' if v is None else v}")
+        return lines
+
     _emit(config, doc, plain, list(doc), [doc])
     return EXIT_OK
 
@@ -339,17 +346,19 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
         m_start, m_end = _parse_m_range(args.m_range)
         if args.target_mu is not None:
             # Per-m witness search at the requested multiplicity.
-            records = []
-            for m in range(m_start, m_end + 1):
-                parikh = ParikhVector.equipartitioned(alphabet.size, m)
-                rec = explorer_mod.find_witness(
-                    alphabet, parikh, args.target_mu, limit=config.enumeration_limit
-                )
-                if rec is not None:
-                    records.append(rec.to_json_dict())
+            found = (
+                explorer_mod.find_witness(alphabet, parikh, args.target_mu, limit=config.enumeration_limit)
+                for _, parikh in explorer_mod._equipartitioned_range(alphabet.size, m_start, m_end)
+            )
+            records = [rec.to_json_dict() for rec in found if rec is not None]
             doc = {"witnesses": records}
-            plain = [_witness_plain(w) for w in records] or ["no witnesses found"]
-            _emit(config, doc, plain, _WITNESS_FIELDS, records)
+            _emit(
+                config,
+                doc,
+                lambda: [_witness_plain(w) for w in records] or ["no witnesses found"],
+                _WITNESS_FIELDS,
+                records,
+            )
             return EXIT_OK
         entries = explorer_mod.growing_multiplicity_scan(
             alphabet, m_start, m_end, limit=config.enumeration_limit
@@ -361,11 +370,16 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
             ]
         }
         rows = [{**e, **e["witness"]} for e in doc["entries"]]
-        plain = [
-            f"m={r['m']} max_multiplicity={r['max_multiplicity']} word={r['word']} value={r['value']}"
-            for r in rows
-        ]
-        _emit(config, doc, plain, ("m", "max_multiplicity", "alphabet", "parikh", "word", "value"), rows)
+        _emit(
+            config,
+            doc,
+            lambda: [
+                f"m={r['m']} max_multiplicity={r['max_multiplicity']} word={r['word']} value={r['value']}"
+                for r in rows
+            ],
+            ("m", "max_multiplicity", "alphabet", "parikh", "word", "value"),
+            rows,
+        )
         return EXIT_OK
 
     target = args.target_mu if args.target_mu is not None else 2
@@ -378,11 +392,13 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
         "parikhs_scanned": result.parikhs_scanned,
         "budget_exhausted": result.budget_exhausted,
     }
-    plain = [_witness_plain(w) for w in doc["witnesses"]]
-    summary = f"scanned {doc['classes_scanned']} classes over {doc['parikhs_scanned']} Parikh vectors"
-    if doc["budget_exhausted"]:
-        summary += " (budget exhausted)"
-    plain.append(summary)
+
+    def plain():
+        summary = f"scanned {doc['classes_scanned']} classes over {doc['parikhs_scanned']} Parikh vectors"
+        if doc["budget_exhausted"]:
+            summary += " (budget exhausted)"
+        return [_witness_plain(w) for w in doc["witnesses"]] + [summary]
+
     _emit(config, doc, plain, _WITNESS_FIELDS, doc["witnesses"])
     return EXIT_OK
 

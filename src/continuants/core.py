@@ -23,6 +23,7 @@ smaller sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable, Sequence
 
 
@@ -317,3 +318,8 @@ def _parse_positive(text: str, what: str) -> list[int]:
 
 def format_word(letters: Sequence[int]) -> str:
     return ",".join(str(a) for a in letters)
+
+
+def int_text(n: int) -> str:
+    """Every decimal digit of n; str() refuses ints past the int-to-str digit limit."""
+    return str(Decimal(n))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .census import DEFAULT_CLASS_LIMIT, DEFAULT_VALUE_BUDGET, _value_table, exact_class_count
-from .core import Alphabet, CanonicalWord, ParikhVector, format_word
+from .core import Alphabet, CanonicalWord, ParikhVector, format_word, int_text
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class WitnessRecord:
             "alphabet": list(self.alphabet.letters),
             "parikh": list(self.parikh.counts),
             "word": format_word(self.word),
-            "value": str(self.value),
+            "value": int_text(self.value),
             "multiplicity": self.multiplicity,
         }
 
@@ -95,6 +95,17 @@ def find_witness(
     return records[0] if records else None
 
 
+def _equipartitioned_range(size: int, m_start: int, m_end: int) -> Iterator[tuple[int, ParikhVector]]:
+    """(m, the equipartitioned Parikh vector of repetition count m) for m = m_start .. m_end.
+
+    The range is checked before the first pair is yielded.
+    """
+    if not 1 <= m_start <= m_end:
+        raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}..{m_end}")
+    for m in range(m_start, m_end + 1):
+        yield m, ParikhVector.equipartitioned(size, m)
+
+
 def growing_multiplicity_scan(
     alphabet: Alphabet,
     m_start: int,
@@ -109,16 +120,12 @@ def growing_multiplicity_scan(
     order.  The witness follows the standard tie-break.  A class over the
     limit aborts the scan with ClassTooLargeError naming its size.
     """
-    if not 1 <= m_start <= m_end:
-        raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}..{m_end}")
-
     def smallest_top(table):
         max_mu = max(table.values())
         return [min(v for v, c in table.items() if c == max_mu)]
 
     out = []
-    for m in range(m_start, m_end + 1):
-        parikh = ParikhVector.equipartitioned(alphabet.size, m)
+    for m, parikh in _equipartitioned_range(alphabet.size, m_start, m_end):
         [record] = _witnesses(alphabet, parikh, smallest_top, limit, value_budget)
         out.append((m, record.multiplicity, record))
     return out

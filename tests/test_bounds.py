@@ -25,7 +25,6 @@ from continuants import (
     density_threshold_s,
     exact_class_count,
     growth_factor,
-    growth_ratio_sides,
     is_admissible,
     max_arrangement,
     run_census,
@@ -312,6 +311,43 @@ class TestStirlingEnclosure:
             stirling_enclosure(0)
 
 
+def sqrt_2pi_by_hand(n, q):
+    """sqrt(2 pi n) rounded outward at q bits, from pi's q-bit enclosure."""
+    pi_lo, pi_hi = bounds._pi_interval(q)
+    lo_sq = math.floor(2 * n * pi_lo * 4**q)
+    hi_sq = math.ceil(2 * n * pi_hi * 4**q)
+    r_hi = math.isqrt(hi_sq)
+    if r_hi**2 < hi_sq:
+        r_hi += 1
+    return Fraction(math.isqrt(lo_sq), 2**q), Fraction(r_hi, 2**q)
+
+
+class TestExactEndpoints:
+    """Each endpoint is the formula evaluated on the matching endpoints of e,
+    pi and the square root, at the working precision prec + guard bits."""
+
+    @pytest.mark.parametrize("t,l,s,prec", [(1, 1, 2, 8), (1, 1, 4, 64), (2, 3, 6, 128), (3, 5, 12, 32)])
+    def test_growth_factor(self, t, l, s, prec):
+        q = prec + bounds._GUARD_BITS
+        e_lo, e_hi = bounds._e_interval(q)
+        r_lo, r_hi = sqrt_2pi_by_hand(s + 1, q)
+        k = s - l + t
+        g = growth_factor(t, l, s, prec=prec)
+        assert g.lower == Fraction(363, 800) * e_lo**k / (r_hi * k ** (l - t + 1))
+        assert g.upper == Fraction(363, 800) * e_hi**k / (r_lo * k ** (l - t + 1))
+        assert g.prec_bits == prec
+
+    @pytest.mark.parametrize("n,prec", [(1, 8), (2, 64), (5, 128), (10, 32)])
+    def test_stirling_enclosure(self, n, prec):
+        q = prec + bounds._GUARD_BITS
+        e_lo, e_hi = bounds._e_interval(q)
+        r_lo, r_hi = sqrt_2pi_by_hand(n, q)
+        lo, hi = stirling_enclosure(n, prec=prec)
+        assert (lo.lower, lo.upper) == (r_lo * n**n / e_hi**n, r_hi * n**n / e_lo**n)
+        assert (hi.lower, hi.upper) == (lo.lower * 12 / 11, lo.upper * 12 / 11)
+        assert lo.prec_bits == hi.prec_bits == prec
+
+
 class TestDeskScaleBoundChain:
     def test_distinct_values_below_upper_bound(self):
         # P <= W_max < 2^{2s} s! ((s+1)!)^m for s in {2,3}, m in {1,2}
@@ -343,15 +379,6 @@ class TestDeskScaleBoundChain:
                 a = Alphabet(tuple(range(1, s + 1)))
                 p = ParikhVector.equipartitioned(s, m)
                 assert continuant(max_arrangement(a, p)) < value_count_upper_bound(s, m)
-
-
-class TestGrowthRatioSides:
-    def test_exposes_both_sides_without_asserting(self):
-        a, p = Alphabet((1, 2, 3)), ParikhVector.equipartitioned(3, 2)
-        rep = run_census(a, p)
-        ratio, power = growth_ratio_sides(1, 1, 3, 2, rep.class_size, rep.distinct_values)
-        assert ratio == Fraction(48, 35)
-        assert encloses(power, growth_oracle(1, 1, 3) ** 2)
 
 
 class TestCertifiedReal:

@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -229,6 +230,18 @@ class TestBoundsCommand:
         assert len(list(csv.reader(io.StringIO(out)))) == 2
 
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_plain_lines_only_for_plain(self, capsys, monkeypatch, fmt):
+        calls = []
+        plain = cli._certified_plain
+        monkeypatch.setattr(cli, "_certified_plain", lambda cr: calls.append(cr) or plain(cr))
+        argv = ["bounds", "--t", "1", "--l", "1", "--s", "5", "--m", "2"]
+        assert run(capsys, *argv, "--format", fmt)[0] == EXIT_OK
+        assert calls == []
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert len(calls) == 2  # density_power and growth_factor
+
+
 class TestExploreCommand:
     def test_empty_result_exits_zero(self, capsys):
         code, out, _ = run(
@@ -282,6 +295,49 @@ class TestExploreCommand:
         assert code == EXIT_USAGE
         code, _, err = run(capsys, "explore", "--alphabet", "1,2", "--m-range", "1..2", "--budget", "3")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("m_range", ["3..1", "0..2"])
+    @pytest.mark.parametrize("target", [[], ["--target-mu", "2"]], ids=["scan", "target-mu"])
+    def test_m_range_rule_with_and_without_target(self, capsys, m_range, target):
+        code, out, err = run(capsys, "explore", "--alphabet", "1,2", "--m-range", m_range, *target)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: need 1 <= m_start <= m_end, got {m_range}\n"
+
+
+# 10^(D-1) has D digits, the most that str() accepts by default; K(low, 10^(D-1))
+# = low 10^(D-1) + 1 has D digits for low = 9 and D + 1 for low = 10.
+DIGIT_LIMIT = sys.get_int_max_str_digits() or 4300
+WIDE_LETTER = "1" + "0" * (DIGIT_LIMIT - 1)
+
+
+@pytest.mark.parametrize(
+    "low,expected",
+    [("9", "9" + "0" * (DIGIT_LIMIT - 2) + "1"), ("10", "1" + "0" * (DIGIT_LIMIT - 1) + "1")],
+    ids=["at-limit", "past-limit"],
+)
+class TestEveryDigit:
+    """Documents print every digit of a value, past the int-to-str digit limit too."""
+
+    def formats(self, capsys, *argv):
+        """The JSON document, after checking that all three formats exit 0."""
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (EXIT_OK, "")
+        return json.loads(out)
+
+    def test_continuant(self, capsys, low, expected):
+        doc = self.formats(capsys, "continuant", f"{low},{WIDE_LETTER}")
+        assert doc["value"] == expected
+
+    def test_census(self, capsys, low, expected):
+        doc = self.formats(capsys, "census", "--alphabet", f"{low},{WIDE_LETTER}", "--parikh", "1,1")
+        assert doc["max_value"] == doc["min_value"] == doc["witnesses"][0]["value"] == expected
+        assert (doc["N"], doc["P"]) == ("1", "1")
+
+    def test_explore(self, capsys, low, expected):
+        argv = ["explore", "--alphabet", f"{low},{WIDE_LETTER}", "--m-range", "1..1"]
+        assert self.formats(capsys, *argv)["entries"][0]["witness"]["value"] == expected
+        assert self.formats(capsys, *argv, "--target-mu", "1")["witnesses"][0]["value"] == expected
 
 
 CENSUS_PLAIN = """\

@@ -11,6 +11,7 @@ from continuants import (
     growing_multiplicity_scan,
     multiplicity_of,
 )
+from continuants.explorer import _equipartitioned_range
 
 
 def alpha(*letters):
@@ -82,6 +83,16 @@ class TestGrowingMultiplicityScan:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             growing_multiplicity_scan(alpha(1, 2), 3, 2)
+
+
+class TestEquipartitionedRange:
+    def test_pairs(self):
+        assert list(_equipartitioned_range(3, 2, 4)) == [(m, parikh(m, m, m)) for m in (2, 3, 4)]
+
+    @pytest.mark.parametrize("m_start,m_end", [(3, 1), (0, 2), (-1, -1)])
+    def test_range_rule(self, m_start, m_end):
+        with pytest.raises(ValueError, match=rf"^need 1 <= m_start <= m_end, got {m_start}\.\.{m_end}$"):
+            next(_equipartitioned_range(2, m_start, m_end))
 
 
 class TestExactMultiplicityScan:
