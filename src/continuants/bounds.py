@@ -4,7 +4,10 @@ Everything decidable over the integers or rationals is decided exactly:
 the distinct-value upper bound 2^{2s} s! ((s+1)!)^m, the class-size lower
 bound ((s-l+t)m)! / (2 (m!)^{s-l+t}), and the repetition threshold from
 which the simplified per-letter bound holds (least m with
-2^{2s} s! 99^m <= 100^m).
+2^{2s} s! 99^m <= 100^m).  That threshold compares directed-rounding
+dyadic enclosures of 100^m and 99^m (a 128-bit mantissa beside a binary
+exponent) and builds the exact powers only when the enclosures cannot
+settle the comparison.
 
 Transcendental quantities (powers of e, pi, square roots) are evaluated as
 interval enclosures with exact rational endpoints: the constants e and pi
@@ -16,13 +19,19 @@ and failing that the comparison raises instead of guessing.  Boundary
 misclassification would silently change which alphabets count as
 admissible, so nothing here ever rounds to nearest.
 
+Floats only ever propose where a search starts; each answer is then
+certified by exact checks on both sides of it.  Certified reals are
+printed by rounding their exact midpoint and padded radius with one
+integer divmod each, to the digits Decimal division would give.
+
 Quantities tied to a lacunary alphabet {b_1<...<b_t} | {l+1..s}:
 
 * density_power(t, l, s): ((s-l+t)/(s+1))^{s+1}, the (s+1)-th power of the
   alphabet-density ratio.  Exactly rational; increases in s toward
   e^{-(l-t)-1}.
 * density_threshold_s(t, l): least s where density_power reaches half its
-  limit.
+  limit, scanned from a float proposal after stepping down past every s
+  that is not certified below it.
 * growth_factor(t, l, s): (363/800) e^{s-l+t} / (sqrt(2 pi (s+1))
   (s-l+t)^{l-t+1}).  For large repetition counts m the class-size to
   distinct-value ratio N/P of equipartitioned classes exceeds
@@ -36,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,6 +56,9 @@ MAX_PREC_BITS = 4096
 
 # Extra working bits on top of the requested precision.
 _GUARD_BITS = 16
+
+# Mantissa bits of the directed-rounding powers in simplified_bound_threshold.
+_DYADIC_BITS = 128
 
 
 class PrecisionExhaustedError(Exception):
@@ -166,25 +178,65 @@ class CertifiedReal:
         return self.upper < Fraction(c)
 
     def to_json_dict(self, digits: int = 36) -> dict:
-        # The decimal radius is padded by the midpoint's decimal rounding
-        # error and rounded up, so the serialized interval still contains
-        # the true value.
-        mid = self.midpoint
-        mid_dec = _fraction_to_decimal(mid, digits, ROUND_HALF_EVEN)
-        err = abs(mid - Fraction(mid_dec))
-        rad_dec = _fraction_to_decimal(self.radius + err, digits, ROUND_CEILING)
+        # The midpoint N/D and radius R/D share the unreduced denominator
+        # D = 2bd.  The decimal radius is padded by the midpoint's decimal
+        # rounding error and rounded up, so the serialized interval still
+        # contains the true value.
+        a, b = self.lower.numerator, self.lower.denominator
+        c, d = self.upper.numerator, self.upper.denominator
+        n, r, den = a * d + c * b, c * b - a * d, 2 * b * d
+        coef, exp = _round_quotient(n, den, digits, ceiling=False)
+        scale = 10 ** abs(exp)
+        if exp >= 0:  # error |N/D - coef 10^exp| over D
+            pad, pad_den = r + abs(n - coef * scale * den), den
+        else:  # over D 10^-exp
+            pad, pad_den = r * scale + abs(n * scale - coef * den), den * scale
         return {
-            "midpoint": str(mid_dec),
-            "radius": str(rad_dec),
+            "midpoint": _decimal_text(coef, exp),
+            "radius": _decimal_text(*_round_quotient(pad, pad_den, digits, ceiling=True)),
             "precision_bits": self.prec_bits,
         }
 
 
-def _fraction_to_decimal(x: Fraction, digits: int, rounding: str) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = rounding
-        return Decimal(x.numerator) / Decimal(x.denominator)
+def _round_quotient(n: int, d: int, digits: int, *, ceiling: bool) -> tuple[int, int]:
+    """(coefficient, exponent) of Decimal(n) / Decimal(d), for d > 0, in a
+    context of ``digits`` digits rounding half-even, or toward +infinity
+    when ``ceiling``.
+
+    A float log proposes the exponent that leaves a ``digits``-digit
+    quotient, and one divmod checks it (another only when the proposal is
+    off by one).  The remainder decides the rounding; an exact quotient
+    sheds trailing zeros toward exponent 0, as Decimal division does.
+    """
+    if n == 0:
+        return 0, 0
+    mag = abs(n)
+    exp = math.floor(math.log10(mag) - math.log10(d)) - digits + 1
+    while True:
+        num, den = (mag, d * 10**exp) if exp >= 0 else (mag * 10**-exp, d)
+        quo, rem = divmod(num, den)
+        if quo >= 10**digits:
+            exp += 1
+        elif quo < 10 ** (digits - 1):
+            exp -= 1
+        else:
+            break
+    if ceiling:
+        up = rem > 0 and n > 0
+    else:
+        up = 2 * rem > den or (2 * rem == den and quo % 2 == 1)
+    if up:
+        quo += 1
+        if quo == 10**digits:
+            quo, exp = quo // 10, exp + 1
+    elif rem == 0:
+        while exp < 0 and quo % 10 == 0:
+            quo, exp = quo // 10, exp + 1
+    return (quo if n > 0 else -quo), exp
+
+
+def _decimal_text(coef: int, exp: int) -> str:
+    return str(Decimal((int(coef < 0), tuple(map(int, str(abs(coef)))), exp)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +270,64 @@ def class_count_lower_bound(t: int, l: int, s: int, m: int) -> int:
     return math.factorial(k * m) // (2 * math.factorial(m) ** k)
 
 
+def _dyadic_pow(b: int, m: int, *, up: bool) -> tuple[int, int]:
+    """(x, e) with x 2^e <= b^m, or >= b^m when ``up``; x has at most
+    _DYADIC_BITS bits (one more after an upward carry).
+
+    Left-to-right square-and-multiply; each step's exact product is
+    rounded down (up) to the mantissa width, so it stays on its side.
+    """
+    x, e = 1, 0
+    for bit in bin(m)[2:]:
+        x, e = x * x, 2 * e
+        if bit == "1":
+            x *= b
+        extra = x.bit_length() - _DYADIC_BITS
+        if extra > 0:
+            x = -(-x >> extra) if up else x >> extra
+            e += extra
+    return x, e
+
+
+def _dyadic_ge(x: tuple[int, int], c: int, y: tuple[int, int]) -> bool:
+    """a 2^e >= c b 2^f for x = (a, e) and y = (b, f), by one shift and compare."""
+    (a, e), (b, f) = x, y
+    return a << (e - f) >= c * b if e >= f else a >= (c * b) << (f - e)
+
+
+def _exact_ge(m: int, target: int) -> bool:
+    """100^m >= target 99^m, with both sides built."""
+    return 100**m >= target * 99**m
+
+
+def _power_ratio_ge(m: int, target: int) -> bool:
+    """100^m >= target 99^m, decided by dyadic enclosures when they settle it."""
+    if _dyadic_ge(_dyadic_pow(100, m, up=False), target, _dyadic_pow(99, m, up=True)):
+        return True
+    if not _dyadic_ge(_dyadic_pow(100, m, up=True), target, _dyadic_pow(99, m, up=False)):
+        return False
+    return _exact_ge(m, target)
+
+
 def simplified_bound_threshold(s: int) -> int:
-    """Least m with 2^{2s} s! 99^m <= 100^m, decided in exact integer arithmetic.
+    """Least m with 2^{2s} s! 99^m <= 100^m, decided exactly.
 
     From this repetition count on, the distinct-value bound collapses to
     ((100/99) (s+1)!)^m.  A float logarithm only picks the starting m; the
-    predicate is monotone in m, and exact integer checks step from there to
-    the least m that satisfies it.
+    predicate is monotone in m, and certified checks step from there to
+    the least m that satisfies it.  Each check brackets 100^m and 99^m
+    between directed-rounding dyadic powers and compares the brackets by
+    an integer shift; only when they overlap the target are the exact
+    powers built and compared.
     """
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
     target = (1 << (2 * s)) * math.factorial(s)
     m = max(1, math.ceil(math.log(target) / math.log1p(1 / 99)))
-    # Invariant: p = 100^m and q = target 99^m, so ok(m) is p >= q.
-    p, q = 100**m, target * 99**m
-    while 99 * p >= 100 * q:  # ok(m - 1); never holds at m = 1 since target > 1
-        p, q, m = p // 100, q // 99, m - 1
-    while p < q:
-        p, q, m = p * 100, q * 99, m + 1
+    while _power_ratio_ge(m - 1, target):  # never holds at m = 1 since target > 1
+        m -= 1
+    while not _power_ratio_ge(m, target):
+        m += 1
     return m
 
 
@@ -265,6 +357,24 @@ def _half_exp_neg_interval(c: int, q: int) -> tuple[Fraction, Fraction]:
     return Fraction(1, 2) / e_hi**c, Fraction(1, 2) / e_lo**c
 
 
+def _density_start(c: int) -> int:
+    """Float proposal for the least s >= c with (s+1) log1p(-c/(s+1)) >= -c - log 2,
+    the log form of density_threshold_s's test; found by doubling and bisection."""
+
+    def reaches(s: int) -> bool:
+        return (s + 1) * math.log1p(-c / (s + 1)) >= -c - math.log(2)
+
+    if reaches(c):
+        return c
+    lo, hi = c, 2 * c
+    while not reaches(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    return hi
+
+
 def density_threshold_s(
     t: int,
     l: int,
@@ -275,14 +385,21 @@ def density_threshold_s(
     """Least s >= l-t+1 with density_power(t, l, s) >= e^{-(l-t)-1} / 2.
 
     The left side is exactly rational and the threshold is irrational, so
-    the certified comparison always resolves at some precision.  A finer
-    enclosure never changes a decision, so the scan keeps the precision it
-    has reached and rebuilds e^{-c}/2 only when the precision doubles.
+    the certified comparison always resolves at some precision.  A float
+    proposes where the scan starts.  The start steps down while the s
+    below it is not certified below the threshold at the first precision;
+    the density power increases in s, so every s left below is one a scan
+    from l-t+1 would reject at that precision, and the scan from the start
+    reaches the same s, precisions and errors.  A finer enclosure never
+    changes a decision, so the scan keeps the precision it has reached and
+    rebuilds e^{-c}/2 only when the precision doubles.
     """
     check_shape(t, l)
     c = l - t + 1
-    s, q = c, prec
+    s, q = _density_start(c), prec
     thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
+    while s > c and _density_fraction(t, l, s - 1) >= thr_lo:
+        s -= 1
     while True:
         f = _density_fraction(t, l, s)
         if f >= thr_hi:

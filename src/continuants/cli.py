@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     except PrecisionExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a count past the index range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

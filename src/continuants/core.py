@@ -23,7 +23,7 @@ smaller sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Iterable, Sequence
 
 
@@ -304,20 +304,32 @@ def parse_word(text: str) -> Word:
 
 
 def _parse_positive(text: str, what: str) -> list[int]:
-    """Comma-separated positive integers; ValueError names the bad token as ``what``."""
+    """Comma-separated positive integers; ValueError names the bad token as ``what``.
+
+    Tokens go through Decimal, which has no str-to-int digit limit.  A
+    token that passes isdigit() yet is no decimal literal (such as a
+    superscript digit) raises int()'s own ValueError, as it always has.
+    """
     if text.strip() == "":
         return []
     out = []
     for token in text.split(","):
         tok = token.strip()
-        if not tok.isdigit() or int(tok) < 1:
+        try:
+            n = int(Decimal(tok)) if tok.isdigit() else 0
+        except InvalidOperation:
+            n = int(tok)  # raises the ValueError int() gives for this token
+        if n < 1:
             raise ValueError(f"invalid {what} {tok!r}: expected a positive integer")
-        out.append(int(tok))
+        out.append(n)
     return out
 
 
 def format_word(letters: Sequence[int]) -> str:
-    return ",".join(str(a) for a in letters)
+    try:
+        return ",".join(map(str, letters))
+    except ValueError:  # a letter past the int-to-str digit limit
+        return ",".join(map(int_text, letters))
 
 
 def int_text(n: int) -> str:

@@ -6,6 +6,8 @@ itself never touches it.
 """
 
 import math
+import random
+from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -121,6 +123,53 @@ class TestSimplifiedBoundThreshold:
             assert left < right, s
             assert 100 * left >= 99 * right, s
 
+    def test_exact_fallback_decides_when_mantissas_are_tiny(self, monkeypatch):
+        # Two-bit dyadic powers are far too coarse to settle a check near
+        # the threshold, so each one there falls through to the exact
+        # comparison.  The test stands in for it with its own: both sides
+        # built from scratch, or carried from m - 1 by one multiplication.
+        monkeypatch.setattr(bounds, "_DYADIC_BITS", 2)
+        decided = {}  # m -> whether 100^m >= 4^s s! 99^m, for the current s
+        sides = {}
+
+        def exact(m, target):
+            assert target == 4**s * math.factorial(s)
+            if m - 1 in sides:
+                p, q = sides[m - 1]
+                p, q = 100 * p, 99 * q
+            else:
+                p, q = 100**m, target * 99**m
+            sides[m] = p, q
+            decided[m] = p >= q
+            return decided[m]
+
+        monkeypatch.setattr(bounds, "_exact_ge", exact)
+        for s in range(2, 161):
+            decided.clear()
+            sides.clear()
+            m = simplified_bound_threshold(s)
+            assert (decided.get(m - 1), decided.get(m)) == (False, True), s
+
+    @pytest.mark.parametrize("bits", [2, 128])
+    def test_dyadic_powers_bracket_the_exact_power(self, monkeypatch, bits):
+        monkeypatch.setattr(bounds, "_DYADIC_BITS", bits)
+        for b in (99, 100):
+            for m in [*range(0, 300), 4097, 84722]:
+                power = b**m
+                x, e = bounds._dyadic_pow(b, m, up=False)
+                y, f = bounds._dyadic_pow(b, m, up=True)
+                assert x * 2**e <= power <= y * 2**f, (b, m)
+                if bits == 128:  # and tight: width under 2^-100 of the power
+                    assert (y * 2**f - x * 2**e) << 100 <= power, (b, m)
+                assert max(x, y).bit_length() <= bits + 1
+
+    def test_exact_fallback_is_the_defining_inequality(self):
+        for s in (2, 3, 10):
+            m = simplified_bound_threshold(s)
+            target = 4**s * math.factorial(s)
+            assert not bounds._exact_ge(m - 1, target)
+            assert bounds._exact_ge(m, target)
+
     def test_monotone_in_s(self):
         prev = 0
         for s in range(2, 8):
@@ -196,6 +245,25 @@ class TestDensityThreshold:
                     break
                 s += 1
             assert density_threshold_s(t, l) == s
+
+    def test_against_one_step_scan_for_every_shape_up_to_l_40(self):
+        # The scan from s = l-t+1, one s at a time, each compared with the
+        # 60-digit e^{-c}/2.  Its answer depends on (t, l) only through
+        # c = l-t+1, so each c is scanned once.
+        scanned = {}
+        for l in range(1, 41):
+            for t in range(1, l + 1):
+                c = l - t + 1
+                if c not in scanned:
+                    thr = mpmath.exp(-c) / 2
+                    s = c
+                    while True:
+                        f = Fraction(s - l + t, s + 1) ** (s + 1)
+                        if mpmath.mpf(f.numerator) / f.denominator >= thr:
+                            break
+                        s += 1
+                    scanned[c] = s
+                assert density_threshold_s(t, l) == scanned[c], (t, l)
 
     def test_first_point_already_qualifies_when_t_equals_l(self):
         # threshold is half the limit and (s/(s+1))^{s+1} >= 1/4 from s = 1
@@ -406,6 +474,98 @@ class TestCertifiedReal:
         assert ser_mid - ser_rad <= cr.lower
         assert cr.upper <= ser_mid + ser_rad
         assert doc["precision_bits"] == 32
+
+
+def decimal_quotient(n, d, digits, rounding):
+    """The oracle for every rounding: Decimal's own division."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = rounding
+        return Decimal(n) / Decimal(d)
+
+
+def decimal_document(cr, digits):
+    """CertifiedReal.to_json_dict by reduced Fractions and Decimal division."""
+    mid = (cr.lower + cr.upper) / 2
+    mid_dec = decimal_quotient(mid.numerator, mid.denominator, digits, ROUND_HALF_EVEN)
+    pad = (cr.upper - cr.lower) / 2 + abs(mid - Fraction(mid_dec))
+    rad_dec = decimal_quotient(pad.numerator, pad.denominator, digits, ROUND_CEILING)
+    return {"midpoint": str(mid_dec), "radius": str(rad_dec), "precision_bits": cr.prec_bits}
+
+
+DIGITS = (12, 24, 36)
+
+
+def random_rationals(rng, count):
+    """(n, d) pairs, d > 0: signed, exact quotients, quotients that carry to
+    10^digits, and zero."""
+    out = [(0, 1), (0, 7), (1, 1), (-1, 3), (10**40, 1), (1, 8), (-5, 4)]
+    for _ in range(count):
+        k = rng.choice([1, 3, 12, 40, 120])
+        d = rng.randint(1, 10**k)
+        out.append((rng.randint(-(10**k), 10**k), d))
+        out.append((rng.randint(1, 10**k) * d, d))  # integer quotient
+        out.append((rng.randint(1, 10**k), 2 ** rng.randint(0, 60) * 5 ** rng.randint(0, 30)))  # terminating
+        for digits in DIGITS:
+            # 10^(digits+j) - 1 over 10^j, and just above: both round up to a power of ten
+            j = rng.randint(1, 20)
+            out.append((10 ** (digits + j) - rng.randint(1, 4), 10**j))
+            out.append((-(10 ** (digits + j) + rng.randint(1, 4)), 10**j))
+    return out
+
+
+class TestDecimalRounding:
+    """to_json_dict rounds with one integer divmod; Decimal division is the oracle."""
+
+    @pytest.mark.parametrize("rounding", [ROUND_HALF_EVEN, ROUND_CEILING])
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_round_quotient_matches_decimal_division(self, digits, rounding):
+        for n, d in random_rationals(random.Random(digits), 150):
+            got = bounds._round_quotient(n, d, digits, ceiling=rounding == ROUND_CEILING)
+            assert bounds._decimal_text(*got) == str(decimal_quotient(n, d, digits, rounding)), (n, d)
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_documents_match_decimal_division(self, digits):
+        rng = random.Random(100 + digits)
+        rationals = random_rationals(rng, 60)
+        for (n1, d1), (n2, d2) in zip(rationals, rationals[1:]):
+            lo, hi = sorted([Fraction(n1, d1), Fraction(n2, d2)])
+            for cr in (CertifiedReal(lo, hi, 7), CertifiedReal(lo, lo, 0)):
+                assert cr.to_json_dict(digits) == decimal_document(cr, digits), cr
+
+    @pytest.mark.parametrize(
+        "s,doc",
+        [
+            (1369, {
+                "midpoint": "1.26505293252813196514799903388262686E+589",
+                "radius": "2.53534883299007522814291378895981241E+553",
+                "precision_bits": 128,
+            }),
+            (1370, {
+                "midpoint": "3.43500692366752548151068491257126283E+589",
+                "radius": "3.97793846880580491617993078935609365E+553",
+                "precision_bits": 128,
+            }),
+        ],
+    )
+    def test_wide_growth_factors(self, s, doc):
+        # Endpoints of ~200 kbit each.  The midpoint's unreduced numerator and
+        # denominator go through Decimal once; the radius is pinned (frozen
+        # from Decimal division of the reduced Fractions).
+        g = growth_factor(1, 1, s)
+        a, b = g.lower.numerator, g.lower.denominator
+        c, d = g.upper.numerator, g.upper.denominator
+        n, den = a * d + c * b, 2 * b * d
+        dn, dd = Decimal(n), Decimal(den)
+        for digits in DIGITS:
+            for rounding in (ROUND_HALF_EVEN, ROUND_CEILING):
+                with localcontext() as ctx:
+                    ctx.prec = digits
+                    ctx.rounding = rounding
+                    want = str(dn / dd)
+                got = bounds._round_quotient(n, den, digits, ceiling=rounding == ROUND_CEILING)
+                assert bounds._decimal_text(*got) == want, (digits, rounding)
+        assert g.to_json_dict() == doc
 
 
 class TestBoundsReport:

@@ -340,6 +340,49 @@ class TestEveryDigit:
         assert self.formats(capsys, *argv, "--target-mu", "1")["witnesses"][0]["value"] == expected
 
 
+PAST_LIMIT = "1" + "0" * DIGIT_LIMIT  # one digit more than int() accepts
+
+
+@pytest.mark.parametrize("token", [WIDE_LETTER, PAST_LIMIT], ids=["at-limit", "past-limit"])
+class TestInputDigits:
+    """Word tokens, --alphabet letters and --parikh counts parse at any length."""
+
+    def test_word_token(self, capsys, token):
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run(capsys, "continuant", token, "--format", fmt)
+            assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {"word": token, "value": token}
+
+    def test_alphabet(self, capsys, token):
+        code, out, err = run(capsys, "census", "--alphabet", f"1,{token}", "--parikh", "1,1")
+        assert (code, err) == (EXIT_OK, "")
+        assert f"alphabet: 1,{token}\n" in out
+
+    def test_parikh(self, capsys, token):
+        # The count parses; only then does the alignment check refuse it.
+        code, out, err = run(capsys, "census", "--alphabet", "1,2", "--parikh", token)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: alphabet has 2 letters but Parikh vector has 1 counts\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["continuant", "1,\u00b2"], ["census", "--alphabet", "\u00b2", "--parikh", "1"],
+     ["census", "--alphabet", "1", "--parikh", "\u00b2"]],
+    ids=["word", "alphabet", "parikh"],
+)
+def test_digit_that_is_no_decimal_keeps_its_error(capsys, argv):
+    # isdigit() accepts a superscript two, int() and Decimal refuse it.
+    assert run(capsys, *argv) == (EXIT_USAGE, "", "error: invalid literal for int() with base 10: '\u00b2'\n")
+
+
+@pytest.mark.parametrize("count", ["9" * 20, PAST_LIMIT])
+def test_count_past_the_index_range_is_a_usage_error(capsys, count):
+    code, out, err = run(capsys, "census", "--alphabet", "1", "--parikh", count)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ")
+
+
 CENSUS_PLAIN = """\
 n: 5
 alphabet: 1,2,3
