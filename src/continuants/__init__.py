@@ -60,7 +60,6 @@ from .extremal import (
     brute_force_extrema,
     max_arrangement,
     pareto_max,
-    rank_pattern,
     verify_max_arrangement,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "palindromic_count",
     "pareto_max",
     "parse_word",
-    "rank_pattern",
     "run_census",
     "simplified_bound_threshold",
     "smallest_admissible_s",

@@ -23,7 +23,9 @@ continuant pairs, and evaluates each reversal class once by the splitting
 identity, with no reversal comparison.  It shares that identity with
 ``extremal.pareto_max``; the reference does not, so the oracles the tests
 compare it with stay independent of it.  Values are keyed by exact integer
-equality, and no path starts a process.
+equality, and no path starts a process.  Witness words come from a second
+pass over the rows; when only some values are picked, it skips every row
+whose exact value interval holds none of them.
 """
 
 from __future__ import annotations
@@ -283,7 +285,7 @@ def _half_tables(letters: Sequence[int], counts: Sequence[int], h: int) -> dict:
     return tables
 
 
-def _rows(letters: Sequence[int], counts: Sequence[int]) -> Iterator[tuple]:
+def _rows(letters: Sequence[int], counts: Sequence[int], wanted: list[int] | None = None) -> Iterator[tuple]:
     """Yield (head, ys, lo, values): the values K(head + reversed(y)) for y in ys[lo:].
 
     Every member is w = x m reversed(y), with halves |x| = |y| = n // 2 and
@@ -295,6 +297,12 @@ def _rows(letters: Sequence[int], counts: Sequence[int]) -> Iterator[tuple]:
     pairs with c < d, and those with x at or before y when c == d.  When
     every value fits 64 bits, a row is one multiply-add on the half table
     packed into 64-bit fields.
+
+    With ``wanted``, a sorted list, only the rows that may hold one of its
+    values are yielded.  A and B are nonnegative, so every value of a row
+    lies in [A min K(y) + B min K(y-), A max K(y) + B max K(y-)] over the
+    arrangements y of d; a row is skipped, unevaluated, when that closed
+    integer interval holds no wanted value.
     """
     n = sum(counts)
     tables = _half_tables(letters, counts, n // 2)
@@ -309,10 +317,16 @@ def _rows(letters: Sequence[int], counts: Sequence[int]) -> Iterator[tuple]:
             ys, ky, kym = tables[d]
             if packed and d not in packs:
                 packs[d] = tuple(int.from_bytes(array("Q", t), "little") for t in (ky, kym))
+            if wanted is not None:
+                low, low_m, high, high_m = min(ky), min(kym), max(ky), max(kym)
             for i, head in enumerate(xs):
                 a, b = kx[i], kxm[i]
                 if k is not None:
                     head, a, b = head + (letters[k],), letters[k] * a + b, a
+                if wanted is not None:
+                    j = bisect.bisect_left(wanted, a * low + b * low_m)
+                    if j == len(wanted) or wanted[j] > a * high + b * high_m:
+                        continue
                 lo = i if c == d else 0
                 if packed:
                     py, pym = packs[d]
@@ -337,7 +351,9 @@ def _value_table(
     ``witness_values`` picks, from the finished value table, the values
     whose words are returned, in the order of the returned dict; by default
     every value.  Each gets its ``words_per_value`` smallest canonical words,
-    in lexicographic order, found by a second pass over the rows.
+    in lexicographic order, found by a second pass that evaluates only the
+    rows whose value interval holds a picked value (every row when all
+    values are picked).
     """
     _class_size(alphabet, parikh, limit)
     letters, counts = alphabet.letters, parikh.counts
@@ -354,7 +370,8 @@ def _value_table(
         return classes, table, {}
 
     found = {v: [] for v in (table if witness_values is None else witness_values(table))}
-    for head, ys, lo, values in _rows(letters, counts):
+    wanted = None if witness_values is None else sorted(found)
+    for head, ys, lo, values in _rows(letters, counts, wanted):
         if found.keys().isdisjoint(values):
             continue
         for j, v in enumerate(values, lo):
@@ -429,12 +446,13 @@ class CensusReport:
         }
 
 
-def _report_values(table: dict, top_k: int) -> list[int]:
+def _report_values(table: dict, top_k: int, spectrum: dict | None = None) -> list[int]:
     """The values a report shows: for each of the top_k largest multiplicities,
     its WITNESS_VALUES_PER_MULT smallest values; by multiplicity descending,
-    then value ascending."""
+    then value ascending.  ``spectrum``, the table's multiplicity counts, is
+    read for its keys when given."""
     values = []
-    for mu in heapq.nlargest(top_k, set(table.values())):
+    for mu in heapq.nlargest(top_k, set(table.values()) if spectrum is None else spectrum):
         values += heapq.nsmallest(WITNESS_VALUES_PER_MULT, [v for v, c in table.items() if c == mu])
     return values
 
@@ -447,15 +465,20 @@ def run_census(
     value_budget: int = DEFAULT_VALUE_BUDGET,
 ) -> CensusReport:
     """Census the class: evaluate K on every member and aggregate by value."""
+    spectrum: Counter = Counter()
+
+    def pick(table: dict) -> list[int]:
+        spectrum.update(table.values())
+        return _report_values(table, WITNESS_TOP_K, spectrum)
+
     classes, table, words = _value_table(
         alphabet,
         parikh,
         limit=limit,
         value_budget=value_budget,
         words_per_value=WITNESS_WORDS_PER_VALUE,
-        witness_values=lambda t: _report_values(t, WITNESS_TOP_K),
+        witness_values=pick,
     )
-    spectrum = Counter(table.values())
     witnesses = tuple(
         ValueWitnesses(
             value=v,

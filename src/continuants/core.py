@@ -171,9 +171,6 @@ class ParikhVector:
     def size(self) -> int:
         return len(self.counts)
 
-    def is_equipartitioned(self) -> bool:
-        return len(set(self.counts)) <= 1
-
     @property
     def text(self) -> str:
         return format_word(self.counts)

@@ -173,14 +173,3 @@ def verify_max_arrangement(
     _class_size(alphabet, parikh, limit)
     built = max_arrangement(alphabet, parikh)
     return pareto_max(alphabet, parikh) == (continuant(built), 1 if built.is_palindrome() else 2)
-
-
-def rank_pattern(alphabet: Alphabet, parikh: ParikhVector) -> tuple[int, ...]:
-    """Positions-by-rank shape of the arrangement: letter ranks, not values.
-
-    Two alphabets of equal size with equal Parikh vectors always share this
-    pattern; the arrangement depends only on (s, p).
-    """
-    word = max_arrangement(alphabet, parikh)
-    index = {a: i for i, a in enumerate(alphabet.letters)}
-    return tuple(index[a] for a in word)

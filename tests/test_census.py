@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,8 @@ class TestKernels:
     @example(((1, 2), (2, 2)), 4)  # two palindromes, n even
     @example(((1, 2, 3), (2, 3, 2)), 4)  # palindromes, n odd
     @example(((5, 2**30), (3, 2)), 4)  # no palindrome, plain rows
+    @example(((1, 2, 2**40), (2, 2, 3)), 3)  # n odd, plain rows: the middle-letter (A, B)
+    @example(((754, 970, 186655), (2, 3, 4)), 10)  # n odd, census-bigint letters
     def test_kernel_matches_the_reference_scan(self, cls, words_per_value):
         assert_matches_reference(*cls, words_per_value)
 
@@ -381,6 +384,36 @@ class TestKernels:
         before = set().union(*rows[:-1])
         assert len(before) <= 20_000 < len(before | rows[-1])
         assert scans == [len(rows)]
+
+    def test_witness_pass_skips_rows_without_a_picked_value(self):
+        # A census-bigint class at seed 0: its 30 picked values sit in a few of 890 rows.
+        letters, counts = (632, 926, 976, 100782), (3, 4, 1, 4)
+        _, table, _ = census._value_table(alpha(*letters), parikh(*counts))
+        picked = census._report_values(table, census.WITNESS_TOP_K)
+        assert census._report_values(table, census.WITNESS_TOP_K, Counter(table.values())) == picked
+        every = [(r[0], r[2], set(r[3])) for r in census._rows(letters, counts)]
+        kept = [(r[0], r[2], set(r[3])) for r in census._rows(letters, counts, sorted(picked))]
+        holding = [r for r in every if not r[2].isdisjoint(picked)]
+        assert len(holding) <= len(kept) < len(every)
+        assert all(r in kept for r in holding)
+        assert_matches_reference(letters, counts, census.WITNESS_WORDS_PER_VALUE)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_row_bound_is_inclusive(self, n):
+        # One letter: each half count vector has one arrangement, so every row's
+        # interval is the single value it holds, and the picked value is both ends.
+        letters, counts = (3,), (n,)
+        (row,) = census._rows(letters, counts)
+        (value,) = row[3]
+        assert [list(r[3]) for r in census._rows(letters, counts, [value])] == [[value]]
+        assert list(census._rows(letters, counts, [value - 1, value + 1])) == []
+        assert_matches_reference(letters, counts, 1)
+
+    def test_every_value_wanted_takes_every_row_unbounded(self, monkeypatch):
+        wanted, kernel = [], census._rows
+        monkeypatch.setattr(census, "_rows", lambda *a: wanted.append(a[2:]) or kernel(*a))
+        census._value_table(alpha(1, 2, 3), parikh(2, 2, 2), words_per_value=2)
+        assert wanted == [(), (None,)]
 
     def test_bigint_census_never_imports_numpy(self):
         code = (

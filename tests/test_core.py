@@ -257,8 +257,7 @@ class TestAlphabetAndParikh:
     def test_parikh_totals(self):
         p = ParikhVector((2, 3, 1))
         assert p.n == 6
-        assert not p.is_equipartitioned()
-        assert ParikhVector.equipartitioned(3, 2).is_equipartitioned()
+        assert ParikhVector.equipartitioned(3, 2).counts == (2, 2, 2)
 
     def test_abelian_class_of(self):
         a, p = abelian_class_of((2, 1, 1, 2))

@@ -16,7 +16,6 @@ from continuants import (
     extremal,
     max_arrangement,
     pareto_max,
-    rank_pattern,
     verify_max_arrangement,
 )
 
@@ -72,11 +71,6 @@ class TestMaxArrangement:
         a1, p1 = letters[0], counts[0]
         runs = [len(list(g)) for key, g in itertools.groupby(w) if key == a1]
         assert runs == [p1]
-
-    def test_rank_pattern_independent_of_letter_values(self):
-        for counts in [(1, 1, 1), (2, 2, 2), (3, 1, 2), (1, 4, 2)]:
-            p = parikh(*counts)
-            assert rank_pattern(alpha(1, 2, 3), p) == rank_pattern(alpha(2, 5, 9), p)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
