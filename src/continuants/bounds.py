@@ -90,18 +90,13 @@ def _dyadic_ceil(x: Fraction, q: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _e_interval(q: int) -> tuple[Fraction, Fraction]:
     """Enclosure of e from partial sums of sum 1/k!; remainder < 2/(K+1)!."""
-    k, fact = 0, 1
+    k, fact, t = 0, 1, 1
     while fact.bit_length() <= q + 5:  # (K+1)! >= 2^(q+5) makes 2/(K+1)! <= 2^-(q+4)
         k += 1
         fact *= k
-    s = Fraction(0)
-    f = 1
-    for i in range(k):
-        s += Fraction(1, f)
-        f *= i + 1
-    s += Fraction(1, f)  # term 1/K!
-    lo = s
-    hi = s + Fraction(2, f * (k + 1))
+        t = 1 + k * t  # Horner: t = sum_{i <= k} k!/i!
+    lo = Fraction(t, fact)
+    hi = lo + Fraction(2, fact * (k + 1))
     return _dyadic_floor(lo, q), _dyadic_ceil(hi, q)
 
 

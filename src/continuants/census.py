@@ -11,7 +11,7 @@ keeps a permutation iff it is <= its reversal, so each reversal class
 arrives once, at its canonical representative, in lexicographic order,
 without any seen-set, and is yielded with its rolling continuant.
 ``enumerate_classes`` streams the same words; ``multiplicity_of``, the
-census scan ``_scan_shard`` and the extremal oracle
+reference census scan ``_scan_shard`` and the extremal oracle
 ``extremal.brute_force_extrema`` run on it.
 ``_class_size`` is the one enumeration limit gate, which every class-wide
 routine passes first.
@@ -23,9 +23,12 @@ continuant pairs, and evaluates each reversal class once by the splitting
 identity, with no reversal comparison.  It shares that identity with
 ``extremal.pareto_max``; the reference does not, so the oracles the tests
 compare it with stay independent of it.  Values are keyed by exact integer
-equality, and no path starts a process.  Witness words come from a second
-pass over the rows; when only some values are picked, it skips every row
-whose exact value interval holds none of them.
+equality, and no path starts a process.  The value budget is checked
+after every row, so the table holds at most the budget plus one row, and
+the kernel raises ``ValueBudgetExceededError`` with its own counters.
+Witness words come from a second pass over the rows; when only some values
+are picked, it skips every row whose exact value interval holds none of
+them.
 """
 
 from __future__ import annotations
@@ -77,7 +80,9 @@ class ValueBudgetExceededError(Exception):
     """The census value table outgrew its memory budget.
 
     The attached counters describe partial progress only; they are not
-    valid census statistics.
+    valid census statistics.  They count the distinct values and the
+    classes seen up to and including the kernel row that crossed the
+    budget, so they depend on the kernel's row order.
     """
 
     def __init__(self, distinct_values_seen: int, budget: int, classes_evaluated: int):
@@ -204,6 +209,7 @@ def _members(letters: Sequence[int], counts: Sequence[int], prefix: tuple = ()) 
 # Census engine
 # ---------------------------------------------------------------------------
 
+# Unused here; the tests and perfbench/layers.py call it as the reference scan.
 def _scan_shard(args) -> tuple[int, dict, dict]:
     """Count continuant values over the class members that start with ``prefix``.
 
@@ -363,9 +369,7 @@ def _value_table(
         table.update(values)
         classes += len(values)
         if len(table) > value_budget:
-            # The lexicographic reference meets the same overflow and raises
-            # it, with counters that do not depend on the order of the rows.
-            _scan_shard((letters, counts, (), 0, value_budget))
+            raise ValueBudgetExceededError(len(table), value_budget, classes)
     if not words_per_value:
         return classes, table, {}
 

@@ -132,13 +132,11 @@ def growing_multiplicity_scan(
 
 
 def _positive_compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of n into ``parts`` positive parts, lex ascending."""
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(1, n - parts + 2):
-        for rest in _positive_compositions(n - head, parts - 1):
-            yield (head,) + rest
+    """All compositions of n into ``parts`` positive parts, lex ascending:
+    the gaps between 0, each set of ``parts - 1`` cut points, and n."""
+    for cuts in itertools.combinations(range(1, n), parts - 1):
+        ends = (0, *cuts, n)
+        yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
 def exact_multiplicity_scan(

@@ -323,6 +323,10 @@ def assert_matches_reference(letters, counts, words_per_value=3):
             assert list(got[2]) == list(expected[2])  # witnesses in the order picked
 
 
+def refuse_scan(args):
+    raise AssertionError("the reference scan was run")
+
+
 def row_kinds(letters, counts):
     return {type(row[3]) for row in census._rows(letters, counts)}
 
@@ -375,15 +379,18 @@ class TestKernels:
         assert_matches_reference(letters, counts)
 
     def test_budget_is_checked_after_every_row(self, monkeypatch):
-        rows, scans = [], []
-        kernel, scan = census._rows, census._scan_shard
-        monkeypatch.setattr(census, "_rows", lambda *a: (rows.append(set(r[3])) or r for r in kernel(*a)))
-        monkeypatch.setattr(census, "_scan_shard", lambda args: scans.append(len(rows)) or scan(args))
-        with pytest.raises(ValueBudgetExceededError):
+        # The kernel raises on the row that crosses the budget, with the
+        # counters of the rows it has seen; the reference scan is not run.
+        rows, kernel = [], census._rows
+        monkeypatch.setattr(census, "_rows", lambda *a: (rows.append(list(r[3])) or r for r in kernel(*a)))
+        monkeypatch.setattr(census, "_scan_shard", refuse_scan)
+        with pytest.raises(ValueBudgetExceededError) as info:
             census._value_table(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
-        before = set().union(*rows[:-1])
-        assert len(before) <= 20_000 < len(before | rows[-1])
-        assert scans == [len(rows)]
+        before, seen = set().union(*rows[:-1]), set().union(*rows)
+        assert len(before) <= 20_000 < len(seen)
+        err = info.value
+        assert (err.distinct_values_seen, err.classes_evaluated) == (len(seen), sum(map(len, rows)))
+        assert err.distinct_values_seen <= 20_000 + max(map(len, rows))
 
     def test_witness_pass_skips_rows_without_a_picked_value(self):
         # A census-bigint class at seed 0: its 30 picked values sit in a few of 890 rows.
@@ -433,11 +440,12 @@ class TestOneProcess:
     @pytest.mark.parametrize("calls", [1, 2])
     def test_value_budget_is_global(self, monkeypatch, calls):
         # The budget spans the whole class within one call and starts afresh
-        # on the next call in the same process.
+        # on the next call in the same process; the counters are the kernel's.
+        monkeypatch.setattr(census, "_scan_shard", refuse_scan)
         for _ in range(calls):
             with pytest.raises(ValueBudgetExceededError) as info:
                 run_census(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
-            assert (info.value.distinct_values_seen, info.value.classes_evaluated) == (20001, 33886)
+            assert (info.value.distinct_values_seen, info.value.classes_evaluated) == (20059, 26640)
 
     def test_no_process_is_started(self, monkeypatch):
         def refuse(*args, **kwargs):

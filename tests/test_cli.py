@@ -152,6 +152,12 @@ class TestCensusCommand:
         assert "5866372512" in err
         assert "1000" in err
 
+    def test_value_budget_error_at_the_default_budget(self, capsys):
+        # 1.7e7 classes: the kernel stops at the row that crosses 10^6 values.
+        code, out, err = run(capsys, "census", "--alphabet", "1,2,3,4,5", "--parikh", "3,3,3,3,2")
+        assert (code, out) == (EXIT_LIMIT, "")
+        assert "exceeding the budget of 1000000" in err
+
     def test_plain_format_lines(self, capsys):
         _, out, _ = run(capsys, "census", "--alphabet", "1,2", "--parikh", "2,2")
         assert "N: 4" in out
