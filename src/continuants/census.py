@@ -18,17 +18,20 @@ routine passes first.
 
 ``_value_table``, behind ``run_census`` and the explorer, is a
 meet-in-the-middle kernel (``_rows``): it splits each member into two
-halves, memoises the arrangements of every half count vector with their
-continuant pairs, and evaluates each reversal class once by the splitting
-identity, with no reversal comparison.  It shares that identity with
+halves, keeps for every half count vector the continuant pairs of its
+arrangements (``_half_tables``, built once per call, no words stored),
+and evaluates each reversal class once by the splitting identity, with no
+reversal comparison.  It shares that identity with
 ``extremal.pareto_max``; the reference does not, so the oracles the tests
 compare it with stay independent of it.  Values are keyed by exact integer
 equality, and no path starts a process.  The value budget is checked
 after every row, so the table holds at most the budget plus one row, and
 the kernel raises ``ValueBudgetExceededError`` with its own counters.
-Witness words come from a second pass over the rows; when only some values
-are picked, it skips every row whose exact value interval holds none of
-them.
+Witness words come from a second pass over the same tables; when only
+some values are picked, it skips every row whose exact value interval
+holds none of them.  The tables are in a closed-form order, so
+``_arrangement`` spells the word at a table index, and a word is spelled
+only where a picked value lies.
 """
 
 from __future__ import annotations
@@ -274,35 +277,63 @@ def _fits_64_bits(letters: Sequence[int], counts: Sequence[int]) -> bool:
 
 
 def _half_tables(letters: Sequence[int], counts: Sequence[int], h: int) -> dict:
-    """Map each count vector c <= counts of sum h to its arrangements z,
-    with the lists K(z) and K(z minus its last letter), built one letter
-    at a time: K(z a) = a K(z) + K(z minus its last letter)."""
-    tables = {(0,) * len(counts): ([()], [1], [0])}
+    """Map each count vector c <= counts of sum h to the lists K(z) and
+    K(z minus its last letter) over the arrangements z of c, built one
+    letter at a time: K(z a) = a K(z) + K(z minus its last letter).
+
+    The vectors come in lexicographically descending order, and the
+    arrangements of c in descending order of their reversed words, so
+    ``_arrangement`` spells the word at any index; no word is stored."""
+    tables = {(0,) * len(counts): ([1], [0])}
     for _ in range(h):
         grown: dict = {}
-        for c, (zs, ks, kms) in tables.items():
+        for c, (ks, kms) in tables.items():
             for i, a in enumerate(letters):
                 if c[i] < counts[i]:
-                    words, k, km = grown.setdefault(c[:i] + (c[i] + 1,) + c[i + 1 :], ([], [], []))
-                    words += [z + (a,) for z in zs]
+                    k, km = grown.setdefault(c[:i] + (c[i] + 1,) + c[i + 1 :], ([], []))
                     k += [a * x + y for x, y in zip(ks, kms)]
                     km += ks
         tables = grown
     return tables
 
 
-def _rows(letters: Sequence[int], counts: Sequence[int], wanted: list[int] | None = None) -> Iterator[tuple]:
-    """Yield (head, ys, lo, values): the values K(head + reversed(y)) for y in ys[lo:].
+def _arrangement(letters: Sequence[int], c: Sequence[int], i: int) -> tuple:
+    """The arrangement of c at index i of its half-table lists.
 
-    Every member is w = x m reversed(y), with halves |x| = |y| = n // 2 and
-    a middle letter m when n is odd.  By the splitting identity, K(w) =
-    A K(y) + B K(y minus its last letter), with (A, B) = (K(x), K(x minus
-    its last letter)) for n even and (m K(x) + K(x minus its last letter),
-    K(x)) for n odd.  Reversal maps (c, x, y) to (d, y, x), where c and d
-    count the letters of x and y, so one member per reversal class is the
-    pairs with c < d, and those with x at or before y when c == d.  When
-    every value fits 64 bits, a row is one multiply-add on the half table
-    packed into 64-bit fields.
+    Of the M = multinomial(c) arrangements, the first M c_j / |c| end in
+    the last letter j of c, the next ones in the letter before it, and so
+    on; each block is ordered as the table of c minus that letter.  So
+    the word is read backwards, one integer division per letter and step.
+    """
+    c, m, word = list(c), _multinomial(c), []
+    for n in range(sum(c), 0, -1):
+        for j in reversed(range(len(c))):
+            block = m * c[j] // n
+            if i < block:
+                break
+            i -= block
+        word.append(letters[j])
+        c[j] -= 1
+        m = block
+    return tuple(word[::-1])
+
+
+def _rows(
+    letters: Sequence[int], counts: Sequence[int], tables: dict, wanted: list[int] | None = None
+) -> Iterator[tuple]:
+    """Yield (c, i, k, d, lo, values): the values K(x m reversed(y)), for x
+    the arrangement i of c, m the letter k (none when k is None) and y the
+    arrangements of d from index lo on.
+
+    ``tables`` is ``_half_tables(letters, counts, n // 2)``.  Every member
+    is w = x m reversed(y), with halves |x| = |y| = n // 2 and a middle
+    letter m when n is odd.  By the splitting identity, K(w) = A K(y) + B
+    K(y minus its last letter), with (A, B) = (K(x), K(x minus its last
+    letter)) for n even and (m K(x) + K(x minus its last letter), K(x))
+    for n odd.  Reversal maps (c, x, y) to (d, y, x), so one member per
+    reversal class is the pairs with c < d, and those with x at or before
+    y when c == d.  When every value fits 64 bits, a row is one
+    multiply-add on the half table packed into 64-bit fields.
 
     With ``wanted``, a sorted list, only the rows that may hold one of its
     values are yielded.  A and B are nonnegative, so every value of a row
@@ -311,24 +342,22 @@ def _rows(letters: Sequence[int], counts: Sequence[int], wanted: list[int] | Non
     integer interval holds no wanted value.
     """
     n = sum(counts)
-    tables = _half_tables(letters, counts, n // 2)
     packed = sys.byteorder == "little" and _fits_64_bits(letters, counts)
     packs: dict = {}
     for k in range(len(letters)) if n % 2 else (None,):
         rest = counts if k is None else counts[:k] + (counts[k] - 1,) + counts[k + 1 :]
-        for c, (xs, kx, kxm) in tables.items():
+        for c, (kx, kxm) in tables.items():
             d = tuple(r - x for r, x in zip(rest, c))
             if d < c or min(d, default=0) < 0:  # n = 0: the empty word alone
                 continue
-            ys, ky, kym = tables[d]
+            ky, kym = tables[d]
             if packed and d not in packs:
                 packs[d] = tuple(int.from_bytes(array("Q", t), "little") for t in (ky, kym))
             if wanted is not None:
                 low, low_m, high, high_m = min(ky), min(kym), max(ky), max(kym)
-            for i, head in enumerate(xs):
-                a, b = kx[i], kxm[i]
+            for i, (a, b) in enumerate(zip(kx, kxm)):
                 if k is not None:
-                    head, a, b = head + (letters[k],), letters[k] * a + b, a
+                    a, b = letters[k] * a + b, a
                 if wanted is not None:
                     j = bisect.bisect_left(wanted, a * low + b * low_m)
                     if j == len(wanted) or wanted[j] > a * high + b * high_m:
@@ -336,10 +365,10 @@ def _rows(letters: Sequence[int], counts: Sequence[int], wanted: list[int] | Non
                 lo = i if c == d else 0
                 if packed:
                     py, pym = packs[d]
-                    values = memoryview((a * py + b * pym).to_bytes(8 * len(ys), "little")).cast("Q")[lo:]
+                    values = memoryview((a * py + b * pym).to_bytes(8 * len(ky), "little")).cast("Q")[lo:]
                 else:
                     values = [a * y + b * ym for y, ym in zip(ky[lo:], kym[lo:])]
-                yield head, ys, lo, values
+                yield c, i, k, d, lo, values
 
 
 def _value_table(
@@ -357,15 +386,17 @@ def _value_table(
     ``witness_values`` picks, from the finished value table, the values
     whose words are returned, in the order of the returned dict; by default
     every value.  Each gets its ``words_per_value`` smallest canonical words,
-    in lexicographic order, found by a second pass that evaluates only the
-    rows whose value interval holds a picked value (every row when all
-    values are picked).
+    in lexicographic order, found by a second pass over the same half
+    tables that evaluates only the rows whose value interval holds a picked
+    value (every row when all values are picked) and spells a word only
+    where a picked value lies.
     """
     _class_size(alphabet, parikh, limit)
     letters, counts = alphabet.letters, parikh.counts
+    tables = _half_tables(letters, counts, sum(counts) // 2)
     table: Counter = Counter()
     classes = 0
-    for _, _, _, values in _rows(letters, counts):
+    for *_, values in _rows(letters, counts, tables):
         table.update(values)
         classes += len(values)
         if len(table) > value_budget:
@@ -375,13 +406,14 @@ def _value_table(
 
     found = {v: [] for v in (table if witness_values is None else witness_values(table))}
     wanted = None if witness_values is None else sorted(found)
-    for head, ys, lo, values in _rows(letters, counts, wanted):
+    for c, i, k, d, lo, values in _rows(letters, counts, tables, wanted):
         if found.keys().isdisjoint(values):
             continue
+        head = _arrangement(letters, c, i) + (() if k is None else (letters[k],))
         for j, v in enumerate(values, lo):
             got = found.get(v)
             if got is not None:
-                w = head + ys[j][::-1]
+                w = head + _arrangement(letters, d, j)[::-1]
                 w = min(w, w[::-1])
                 if len(got) < words_per_value or w < got[-1]:
                     bisect.insort(got, w)

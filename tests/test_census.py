@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -327,8 +328,12 @@ def refuse_scan(args):
     raise AssertionError("the reference scan was run")
 
 
+def kernel_rows(letters, counts, wanted=None):
+    return census._rows(letters, counts, census._half_tables(letters, counts, sum(counts) // 2), wanted)
+
+
 def row_kinds(letters, counts):
-    return {type(row[3]) for row in census._rows(letters, counts)}
+    return {type(row[-1]) for row in kernel_rows(letters, counts)}
 
 
 class TestKernels:
@@ -346,6 +351,10 @@ class TestKernels:
     @example(((5, 2**30), (3, 2)), 4)  # no palindrome, plain rows
     @example(((1, 2, 2**40), (2, 2, 3)), 3)  # n odd, plain rows: the middle-letter (A, B)
     @example(((754, 970, 186655), (2, 3, 4)), 10)  # n odd, census-bigint letters
+    @example(((1, 2), (40, 1)), 3)  # thin classes: h arrangements per half vector
+    @example(((1, 2), (41, 1)), 3)
+    @example(((2, 5), (1, 30)), 3)
+    @example(((1,), (31,)), 3)
     def test_kernel_matches_the_reference_scan(self, cls, words_per_value):
         assert_matches_reference(*cls, words_per_value)
 
@@ -382,7 +391,7 @@ class TestKernels:
         # The kernel raises on the row that crosses the budget, with the
         # counters of the rows it has seen; the reference scan is not run.
         rows, kernel = [], census._rows
-        monkeypatch.setattr(census, "_rows", lambda *a: (rows.append(list(r[3])) or r for r in kernel(*a)))
+        monkeypatch.setattr(census, "_rows", lambda *a: (rows.append(list(r[-1])) or r for r in kernel(*a)))
         monkeypatch.setattr(census, "_scan_shard", refuse_scan)
         with pytest.raises(ValueBudgetExceededError) as info:
             census._value_table(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
@@ -398,9 +407,9 @@ class TestKernels:
         _, table, _ = census._value_table(alpha(*letters), parikh(*counts))
         picked = census._report_values(table, census.WITNESS_TOP_K)
         assert census._report_values(table, census.WITNESS_TOP_K, Counter(table.values())) == picked
-        every = [(r[0], r[2], set(r[3])) for r in census._rows(letters, counts)]
-        kept = [(r[0], r[2], set(r[3])) for r in census._rows(letters, counts, sorted(picked))]
-        holding = [r for r in every if not r[2].isdisjoint(picked)]
+        every = [(r[:-1], set(r[-1])) for r in kernel_rows(letters, counts)]
+        kept = [(r[:-1], set(r[-1])) for r in kernel_rows(letters, counts, sorted(picked))]
+        holding = [r for r in every if not r[1].isdisjoint(picked)]
         assert len(holding) <= len(kept) < len(every)
         assert all(r in kept for r in holding)
         assert_matches_reference(letters, counts, census.WITNESS_WORDS_PER_VALUE)
@@ -410,17 +419,47 @@ class TestKernels:
         # One letter: each half count vector has one arrangement, so every row's
         # interval is the single value it holds, and the picked value is both ends.
         letters, counts = (3,), (n,)
-        (row,) = census._rows(letters, counts)
-        (value,) = row[3]
-        assert [list(r[3]) for r in census._rows(letters, counts, [value])] == [[value]]
-        assert list(census._rows(letters, counts, [value - 1, value + 1])) == []
+        (row,) = kernel_rows(letters, counts)
+        (value,) = row[-1]
+        assert [list(r[-1]) for r in kernel_rows(letters, counts, [value])] == [[value]]
+        assert list(kernel_rows(letters, counts, [value - 1, value + 1])) == []
         assert_matches_reference(letters, counts, 1)
 
     def test_every_value_wanted_takes_every_row_unbounded(self, monkeypatch):
         wanted, kernel = [], census._rows
-        monkeypatch.setattr(census, "_rows", lambda *a: wanted.append(a[2:]) or kernel(*a))
+        monkeypatch.setattr(census, "_rows", lambda *a: wanted.append(a[3:]) or kernel(*a))
         census._value_table(alpha(1, 2, 3), parikh(2, 2, 2), words_per_value=2)
         assert wanted == [(), (None,)]
+
+    @given(small_classes(max_total=9))
+    @settings(max_examples=40, deadline=None)
+    def test_arrangement_spells_the_half_table_index(self, cls):
+        # Independent of the kernel: the arrangements of c from multiset_permutations,
+        # sorted by reversed word, descending, and their continuants.
+        letters, counts = cls
+        for h in range(sum(counts) + 1):
+            for c, (ks, kms) in census._half_tables(letters, counts, h).items():
+                spelled = [census._arrangement(letters, c, i) for i in range(len(ks))]
+                expected = sorted(multiset_permutations(letters, c), key=lambda z: z[::-1], reverse=True)
+                assert spelled == expected
+                assert [continuant(z) for z in spelled] == ks
+                assert [continuant(z[:-1]) if z else 0 for z in spelled] == kms
+
+    def test_half_tables_are_built_once_per_census(self, monkeypatch):
+        calls, build = [], census._half_tables
+        monkeypatch.setattr(census, "_half_tables", lambda *a: calls.append(a) or build(*a))
+        for letters, counts in [((1, 2, 3), (2, 2, 2)), ((1, 2), (2000, 1)), ((754, 970, 186655), (2, 6, 6))]:
+            calls.clear()
+            run_census(alpha(*letters), parikh(*counts))
+            assert len(calls) == 1
+
+    def test_thin_class_costs_what_its_rows_cost(self):
+        # ~1000 members, but half words 1000 letters long: the census must not
+        # pay for building or copying them.
+        start = time.perf_counter()
+        report = run_census(alpha(1, 2), parikh(2000, 1))
+        assert time.perf_counter() - start < 2
+        assert report.class_size == exact_class_count(parikh(2000, 1))
 
     def test_bigint_census_never_imports_numpy(self):
         code = (
