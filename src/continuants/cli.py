@@ -8,11 +8,15 @@ Every subcommand prints machine-readable output in one of three formats
     3  enumeration limit or value-table budget exceeded
     4  certified-comparison precision exhausted
 
-Global flags may also be supplied through environment variables with the
-CONTINUANTS_ prefix (CONTINUANTS_LIMIT, CONTINUANTS_PRECISION,
-CONTINUANTS_FORMAT); explicit flags win over the environment.  --workers
-must be a positive integer and has no effect: every command runs in one
-process.  It is still accepted so that existing command lines keep working.
+The global settings --limit, --precision (BITS or INIT:MAX) and --format
+each come from the flag, else from the environment variable CONTINUANTS_LIMIT,
+CONTINUANTS_PRECISION or CONTINUANTS_FORMAT, else from the library default
+(10^8 classes, 128:4096 bits, plain).  main() resolves them once, before the
+command runs, and checks each setting once.  --workers must be a positive
+integer and has no effect: every command runs in one process.  It is still
+accepted so that existing command lines keep working.  Integer fields that
+are not argparse-typed (--lacunary, --m-range, the precision bits and
+CONTINUANTS_LIMIT) parse at any length.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 
 from . import bounds as bounds_mod
 from . import census as census_mod
@@ -45,27 +49,14 @@ EXIT_PRECISION = 4
 FORMATS = ("plain", "json", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Bundled run-time knobs shared by all subcommands."""
-
-    enumeration_limit: int = census_mod.DEFAULT_CLASS_LIMIT
-    precision_bits: int = bounds_mod.DEFAULT_PREC_BITS
-    max_precision_bits: int = bounds_mod.MAX_PREC_BITS
-    output_format: str = "plain"
-
-    def __post_init__(self) -> None:
-        if self.enumeration_limit < 1:
-            raise ValueError(f"enumeration limit must be positive, got {self.enumeration_limit}")
-        if self.precision_bits < 1:
-            raise ValueError(f"precision must be positive, got {self.precision_bits}")
-        if self.max_precision_bits < self.precision_bits:
-            raise ValueError(
-                f"maximum precision {self.max_precision_bits} is below the "
-                f"initial precision {self.precision_bits}"
-            )
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
+# The exit code main() returns for each error it reports.
+_EXIT_CODES = {
+    ClassTooLargeError: EXIT_LIMIT,
+    ValueBudgetExceededError: EXIT_LIMIT,
+    PrecisionExhaustedError: EXIT_PRECISION,
+    ValueError: EXIT_USAGE,
+    OverflowError: EXIT_USAGE,  # a count past the index range
+}
 
 
 def _env(name: str) -> str | None:
@@ -73,18 +64,12 @@ def _env(name: str) -> str | None:
 
 
 def _parse_int(text: str, what: str) -> int:
+    """int(text) without int()'s digit limit: a run of digits goes through
+    Decimal, as in core._parse_positive; anything else is int()'s to accept."""
     try:
-        return int(text)
-    except ValueError:
+        return int(Decimal(text)) if text.strip().isdigit() else int(text)
+    except (ValueError, InvalidOperation):
         raise ValueError(f"invalid {what}: {text!r} is not an integer") from None
-
-
-def _parse_precision(text: str, what: str) -> tuple[int, int]:
-    """'128' or '128:4096' -> (initial bits, maximum bits)."""
-    if ":" in text:
-        first, second = text.split(":", 1)
-        return _parse_int(first, what), _parse_int(second, what)
-    return _parse_int(text, what), bounds_mod.MAX_PREC_BITS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,36 +125,44 @@ def _add_class_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--parikh", required=True, help="comma-separated occurrence counts")
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    limit = args.limit
-    if limit is None:
-        limit_text = _env("LIMIT")
-        if limit_text is None:
-            limit = census_mod.DEFAULT_CLASS_LIMIT
-        else:
-            limit = _parse_int(limit_text, ENV_PREFIX + "LIMIT")
-    precision_text, precision_what = args.precision, "precision"
-    if precision_text is None:
-        precision_text, precision_what = _env("PRECISION"), ENV_PREFIX + "PRECISION"
-    format_text = args.format if args.format is not None else _env("FORMAT")
-    if format_text is not None and format_text not in FORMATS:  # argparse checks --format
-        raise ValueError(
-            f"invalid {ENV_PREFIX}FORMAT: {format_text!r} is not one of {', '.join(FORMATS)}"
-        )
+def _resolve_settings(args: argparse.Namespace) -> None:
+    """Set args.limit, args.precision (initial, maximum bits) and args.format
+    from the flag, else the CONTINUANTS_ variable, else the library default.
 
-    if precision_text is not None:
-        prec, max_prec = _parse_precision(precision_text, precision_what)
-    else:
-        prec, max_prec = bounds_mod.DEFAULT_PREC_BITS, bounds_mod.MAX_PREC_BITS
-    fmt = format_text if format_text is not None else "plain"
+    Each setting is checked once, in this order: the CONTINUANTS_LIMIT text,
+    the format, the precision text, then --workers, the limit and the
+    precision values.
+    """
+    if args.limit is None:
+        limit = _env("LIMIT")
+        args.limit = (
+            census_mod.DEFAULT_CLASS_LIMIT if limit is None else _parse_int(limit, ENV_PREFIX + "LIMIT")
+        )
+    precision, what = args.precision, "precision"
+    if precision is None:
+        precision, what = _env("PRECISION"), ENV_PREFIX + "PRECISION"
+    if args.format is None:  # argparse checks --format
+        fmt = _env("FORMAT")
+        if fmt is not None and fmt not in FORMATS:
+            raise ValueError(f"invalid {ENV_PREFIX}FORMAT: {fmt!r} is not one of {', '.join(FORMATS)}")
+        args.format = "plain" if fmt is None else fmt
+    prec, max_prec = bounds_mod.DEFAULT_PREC_BITS, bounds_mod.MAX_PREC_BITS
+    if precision is not None:  # BITS or INIT:MAX
+        first, colon, second = precision.partition(":")
+        prec = _parse_int(first, what)
+        if colon:
+            max_prec = _parse_int(second, what)
     if args.workers is not None and args.workers < 1:
         raise ValueError(f"workers must be positive, got {args.workers}")
-    return RunConfig(
-        enumeration_limit=limit,
-        precision_bits=prec,
-        max_precision_bits=max_prec,
-        output_format=fmt,
-    )
+    if args.limit < 1:
+        raise ValueError(f"enumeration limit must be positive, got {args.limit}")
+    if prec < 1:
+        raise ValueError(f"precision must be positive, got {prec}")
+    if max_prec < prec:
+        raise ValueError(
+            f"maximum precision {int_text(max_prec)} is below the initial precision {int_text(prec)}"
+        )
+    args.precision = (prec, max_prec)
 
 
 def _parse_alphabet(args: argparse.Namespace) -> Alphabet:
@@ -183,7 +176,7 @@ def _parse_alphabet(args: argparse.Namespace) -> Alphabet:
         t, l, s = values[0], values[1], values[2]
         low = values[3:]
         if len(low) != t:
-            raise ValueError(f"--lacunary lists {len(low)} low-part letters, expected t={t}")
+            raise ValueError(f"--lacunary lists {len(low)} low-part letters, expected t={int_text(t)}")
         return Alphabet.from_lacunary(t, l, s, low)
     if args.alphabet is None:
         raise ValueError("an alphabet is required (--alphabet or --lacunary)")
@@ -209,16 +202,16 @@ def _cell(value):
 
 
 def _emit(
-    config: RunConfig, doc: dict, plain: Callable[[], list[str]], fields: Sequence[str], records: list[dict]
+    fmt: str, doc: dict, plain: Callable[[], list[str]], fields: Sequence[str], records: list[dict]
 ) -> None:
     """Print doc as JSON, the lines plain() returns, or one CSV row of fields per record.
 
     plain and records are read from doc, so every format prints the
     document's own strings; plain is called only for the plain format.
     """
-    if config.output_format == "json":
+    if fmt == "json":
         print(json.dumps(doc, indent=2))
-    elif config.output_format == "csv":
+    elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)
@@ -241,25 +234,25 @@ def _certified_plain(cr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns the arguments _emit prints after the format
 # ---------------------------------------------------------------------------
 
-def _cmd_continuant(args: argparse.Namespace, config: RunConfig) -> int:
+_Output = tuple[dict, Callable[[], list[str]], Sequence[str], list[dict]]
+
+
+def _cmd_continuant(args: argparse.Namespace) -> _Output:
     word = parse_word(args.word)
     doc = {"word": format_word(word), "value": int_text(continuant(word))}
-    _emit(config, doc, lambda: [doc["value"]], list(doc), [doc])
-    return EXIT_OK
+    return doc, lambda: [doc["value"]], list(doc), [doc]
 
 
-def _cmd_wmax(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_wmax(args: argparse.Namespace) -> _Output:
     alphabet = _parse_alphabet(args)
     parikh = _parse_parikh(args.parikh)
     word = extremal_mod.max_arrangement(alphabet, parikh)
     verified = None
     if args.verify:
-        verified = extremal_mod.verify_max_arrangement(
-            alphabet, parikh, limit=config.enumeration_limit
-        )
+        verified = extremal_mod.verify_max_arrangement(alphabet, parikh, limit=args.limit)
     doc = {
         "alphabet": list(alphabet.letters),
         "parikh": list(parikh.counts),
@@ -272,8 +265,7 @@ def _cmd_wmax(args: argparse.Namespace, config: RunConfig) -> int:
             return [doc["word"]]
         return [doc["word"], "verified" if doc["verified"] else "NOT verified"]
 
-    _emit(config, doc, plain, list(doc), [doc])
-    return EXIT_OK
+    return doc, plain, list(doc), [doc]
 
 
 _CENSUS_FIELDS = (
@@ -281,10 +273,10 @@ _CENSUS_FIELDS = (
 )
 
 
-def _cmd_census(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_census(args: argparse.Namespace) -> _Output:
     alphabet = _parse_alphabet(args)
     parikh = _parse_parikh(args.parikh)
-    doc = census_mod.run_census(alphabet, parikh, limit=config.enumeration_limit).to_json_dict()
+    doc = census_mod.run_census(alphabet, parikh, limit=args.limit).to_json_dict()
 
     def plain():
         return [f"{k}: {_cell(doc[k])}" for k in _CENSUS_FIELDS] + ["witnesses:"] + [
@@ -292,19 +284,13 @@ def _cmd_census(args: argparse.Namespace, config: RunConfig) -> int:
             for w in doc["witnesses"]
         ]
 
-    _emit(config, doc, plain, _CENSUS_FIELDS, [doc])
-    return EXIT_OK
+    return doc, plain, _CENSUS_FIELDS, [doc]
 
 
-def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> _Output:
+    prec, max_prec = args.precision
     report = bounds_mod.bounds_report(
-        args.t,
-        args.l,
-        args.s,
-        args.m,
-        find_admissible=args.find_admissible,
-        prec=config.precision_bits,
-        max_prec=config.max_precision_bits,
+        args.t, args.l, args.s, args.m, find_admissible=args.find_admissible, prec=prec, max_prec=max_prec
     )
     doc = report.to_json_dict()
 
@@ -316,8 +302,7 @@ def _cmd_bounds(args: argparse.Namespace, config: RunConfig) -> int:
             lines.append(f"{k}: {'-' if v is None else v}")
         return lines
 
-    _emit(config, doc, plain, list(doc), [doc])
-    return EXIT_OK
+    return doc, plain, list(doc), [doc]
 
 
 _WITNESS_FIELDS = ("alphabet", "parikh", "word", "value", "multiplicity")
@@ -337,7 +322,7 @@ def _parse_m_range(text: str) -> tuple[int, int]:
     return _parse_int(first, "m-range"), _parse_int(second, "m-range")
 
 
-def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_explore(args: argparse.Namespace) -> _Output:
     alphabet = _parse_alphabet(args)
     if (args.m_range is None) == (args.budget is None):
         raise ValueError("give exactly one of --m-range or --budget")
@@ -347,22 +332,16 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
         if args.target_mu is not None:
             # Per-m witness search at the requested multiplicity.
             found = (
-                explorer_mod.find_witness(alphabet, parikh, args.target_mu, limit=config.enumeration_limit)
+                explorer_mod.find_witness(alphabet, parikh, args.target_mu, limit=args.limit)
                 for _, parikh in explorer_mod._equipartitioned_range(alphabet.size, m_start, m_end)
             )
             records = [rec.to_json_dict() for rec in found if rec is not None]
-            doc = {"witnesses": records}
-            _emit(
-                config,
-                doc,
-                lambda: [_witness_plain(w) for w in records] or ["no witnesses found"],
-                _WITNESS_FIELDS,
-                records,
-            )
-            return EXIT_OK
-        entries = explorer_mod.growing_multiplicity_scan(
-            alphabet, m_start, m_end, limit=config.enumeration_limit
-        )
+
+            def plain():
+                return [_witness_plain(w) for w in records] or ["no witnesses found"]
+
+            return {"witnesses": records}, plain, _WITNESS_FIELDS, records
+        entries = explorer_mod.growing_multiplicity_scan(alphabet, m_start, m_end, limit=args.limit)
         doc = {
             "entries": [
                 {"m": m, "max_multiplicity": mu, "witness": rec.to_json_dict()}
@@ -370,22 +349,17 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
             ]
         }
         rows = [{**e, **e["witness"]} for e in doc["entries"]]
-        _emit(
-            config,
-            doc,
-            lambda: [
+
+        def plain():
+            return [
                 f"m={r['m']} max_multiplicity={r['max_multiplicity']} word={r['word']} value={r['value']}"
                 for r in rows
-            ],
-            ("m", "max_multiplicity", "alphabet", "parikh", "word", "value"),
-            rows,
-        )
-        return EXIT_OK
+            ]
+
+        return doc, plain, ("m", "max_multiplicity", "alphabet", "parikh", "word", "value"), rows
 
     target = args.target_mu if args.target_mu is not None else 2
-    result = explorer_mod.exact_multiplicity_scan(
-        alphabet, target, args.budget, limit=config.enumeration_limit
-    )
+    result = explorer_mod.exact_multiplicity_scan(alphabet, target, args.budget, limit=args.limit)
     doc = {
         "witnesses": [r.to_json_dict() for r in result.records],
         "classes_scanned": result.classes_scanned,
@@ -399,8 +373,7 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
             summary += " (budget exhausted)"
         return [_witness_plain(w) for w in doc["witnesses"]] + [summary]
 
-    _emit(config, doc, plain, _WITNESS_FIELDS, doc["witnesses"])
-    return EXIT_OK
+    return doc, plain, _WITNESS_FIELDS, doc["witnesses"]
 
 
 _COMMANDS = {
@@ -415,17 +388,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _config_from(args)
-        return _COMMANDS[args.command](args, config)
-    except (ClassTooLargeError, ValueBudgetExceededError) as exc:
+        _resolve_settings(args)
+        _emit(args.format, *_COMMANDS[args.command](args))
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except PrecisionExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (ValueError, OverflowError) as exc:  # OverflowError: a count past the index range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+    return EXIT_OK
 
 
 def entry() -> None:  # console-script hook

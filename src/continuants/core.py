@@ -96,9 +96,11 @@ def check_shape(t: int, l: int, s: int | None = None) -> None:
     """
     if s is None:
         if not 1 <= t <= l:
-            raise ValueError(f"need 1 <= t <= l, got t={t}, l={l}")
+            raise ValueError(f"need 1 <= t <= l, got t={int_text(t)}, l={int_text(l)}")
     elif not 1 <= t <= l < s:
-        raise ValueError(f"need 1 <= t <= l < s, got t={t}, l={l}, s={s}")
+        raise ValueError(
+            f"need 1 <= t <= l < s, got t={int_text(t)}, l={int_text(l)}, s={int_text(s)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class Alphabet:
         if any(x >= y for x, y in zip(low, low[1:])):
             raise ValueError("low-part letters must be strictly increasing")
         if low[-1] > l:
-            raise ValueError(f"largest low-part letter {low[-1]} exceeds l={l}")
+            raise ValueError(f"largest low-part letter {int_text(low[-1])} exceeds l={int_text(l)}")
         return cls(low + tuple(range(l + 1, s + 1)))
 
     @property

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .census import DEFAULT_CLASS_LIMIT, DEFAULT_VALUE_BUDGET, _value_table, exact_class_count
+from .census import DEFAULT_CLASS_LIMIT, _value_table, exact_class_count
 from .core import Alphabet, CanonicalWord, ParikhVector, format_word, int_text
 
 
@@ -53,16 +53,11 @@ class ExactSearchResult:
     budget_exhausted: bool
 
 
-def _witnesses(alphabet, parikh, pick, limit, value_budget) -> list[WitnessRecord]:
+def _witnesses(alphabet, parikh, pick, limit) -> list[WitnessRecord]:
     """One record per value that ``pick`` chooses from the class's value table,
     in pick's order, each carrying the value's lexicographically smallest word."""
     _, table, first_words = _value_table(
-        alphabet,
-        parikh,
-        limit=limit,
-        value_budget=value_budget,
-        words_per_value=1,
-        witness_values=pick,
+        alphabet, parikh, limit=limit, words_per_value=1, witness_values=pick
     )
     return [
         WitnessRecord(alphabet, parikh, CanonicalWord._trusted(words[0]), value, table[value])
@@ -76,7 +71,6 @@ def find_witness(
     target_mu: int,
     *,
     limit: int = DEFAULT_CLASS_LIMIT,
-    value_budget: int = DEFAULT_VALUE_BUDGET,
 ) -> WitnessRecord | None:
     """A witness with multiplicity >= target_mu in the class, if any.
 
@@ -91,7 +85,7 @@ def find_witness(
         hits = [v for v, c in table.items() if c >= target_mu]
         return [min(hits)] if hits else []
 
-    records = _witnesses(alphabet, parikh, smallest_hit, limit, value_budget)
+    records = _witnesses(alphabet, parikh, smallest_hit, limit)
     return records[0] if records else None
 
 
@@ -101,7 +95,7 @@ def _equipartitioned_range(size: int, m_start: int, m_end: int) -> Iterator[tupl
     The range is checked before the first pair is yielded.
     """
     if not 1 <= m_start <= m_end:
-        raise ValueError(f"need 1 <= m_start <= m_end, got {m_start}..{m_end}")
+        raise ValueError(f"need 1 <= m_start <= m_end, got {int_text(m_start)}..{int_text(m_end)}")
     for m in range(m_start, m_end + 1):
         yield m, ParikhVector.equipartitioned(size, m)
 
@@ -112,7 +106,6 @@ def growing_multiplicity_scan(
     m_end: int,
     *,
     limit: int = DEFAULT_CLASS_LIMIT,
-    value_budget: int = DEFAULT_VALUE_BUDGET,
 ) -> list[tuple[int, int, WitnessRecord]]:
     """Maximal multiplicity of each equipartitioned class, m = m_start .. m_end.
 
@@ -126,7 +119,7 @@ def growing_multiplicity_scan(
 
     out = []
     for m, parikh in _equipartitioned_range(alphabet.size, m_start, m_end):
-        [record] = _witnesses(alphabet, parikh, smallest_top, limit, value_budget)
+        [record] = _witnesses(alphabet, parikh, smallest_top, limit)
         out.append((m, record.multiplicity, record))
     return out
 
@@ -145,7 +138,6 @@ def exact_multiplicity_scan(
     budget: int,
     *,
     limit: int = DEFAULT_CLASS_LIMIT,
-    value_budget: int = DEFAULT_VALUE_BUDGET,
 ) -> ExactSearchResult:
     """Scan Parikh vectors in increasing n, then lex, for exact-multiplicity hits.
 
@@ -176,6 +168,6 @@ def exact_multiplicity_scan(
             size = exact_class_count(parikh)
             if scanned + size > budget:
                 return ExactSearchResult(tuple(records), scanned, parikhs, budget_exhausted=True)
-            records += _witnesses(alphabet, parikh, exact_hits, limit, value_budget)
+            records += _witnesses(alphabet, parikh, exact_hits, limit)
             scanned += size
             parikhs += 1

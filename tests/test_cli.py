@@ -4,14 +4,17 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from continuants import bounds, cli, exact_class_count, parse_word
-from continuants.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, RunConfig, main
+from continuants import bounds, census, cli, exact_class_count, parse_word
+from continuants.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -371,6 +374,56 @@ class TestInputDigits:
         assert err == "error: alphabet has 2 letters but Parikh vector has 1 counts\n"
 
 
+class TestLongFields:
+    """--lacunary, --m-range, --precision and CONTINUANTS_LIMIT parse at any length."""
+
+    def test_lacunary_prints_what_the_same_alphabet_prints(self, capsys):
+        high = PAST_LIMIT[:-1] + "1"
+        for fmt in ("plain", "csv"):
+            flags = ("--parikh", "1,1", "--format", fmt)
+            lacunary = run(capsys, "wmax", "--lacunary", f"1,{PAST_LIMIT},{high},5", *flags)
+            alphabet = run(capsys, "wmax", "--alphabet", f"5,{high}", *flags)
+            assert lacunary == alphabet
+            assert lacunary[0] == EXIT_OK and high in lacunary[1]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lacunary", f"1,{PAST_LIMIT},5,1"], f"need 1 <= t <= l < s, got t=1, l={PAST_LIMIT}, s=5"),
+            (
+                ["--lacunary", f"{PAST_LIMIT},1,5,1"],
+                f"--lacunary lists 1 low-part letters, expected t={PAST_LIMIT}",
+            ),
+            (
+                ["--alphabet", "1,2", "--m-range", f"{PAST_LIMIT}..1"],
+                f"need 1 <= m_start <= m_end, got {PAST_LIMIT}..1",
+            ),
+            (
+                ["--alphabet", "1,2", "--budget", "1", "--precision", f"{PAST_LIMIT}:1"],
+                f"maximum precision 1 is below the initial precision {PAST_LIMIT}",
+            ),
+        ],
+        ids=["lacunary-l", "lacunary-t", "m-range", "precision"],
+    )
+    def test_rule_names_the_long_field(self, capsys, flags, message):
+        assert run(capsys, "explore", *flags) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_env_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONTINUANTS_LIMIT", PAST_LIMIT)
+        assert run(capsys, "continuant", "2,1,1,2") == (EXIT_OK, "13\n", "")
+
+    @given(st.text(st.sampled_from("0123456789 +-_.eE\u00b2\u0663\t"), max_size=8))
+    def test_short_text_parses_as_int_does(self, text):
+        try:
+            expected = int(text)
+        except ValueError:
+            message = f"invalid field: {text!r} is not an integer"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cli._parse_int(text, "field")
+        else:
+            assert cli._parse_int(text, "field") == expected
+
+
 @pytest.mark.parametrize(
     "argv",
     [["continuant", "1,\u00b2"], ["census", "--alphabet", "\u00b2", "--parikh", "1"],
@@ -561,17 +614,73 @@ class TestRepeatedCalls:
         assert build() is not build()
 
 
-class TestRunConfig:
-    def test_defaults_are_positive(self):
-        cfg = RunConfig()
-        assert cfg.enumeration_limit == 10**8
-        assert cfg.precision_bits == 128
-        assert cfg.max_precision_bits == 4096
+class TestSettings:
+    """--limit, --precision and --format come from the flag, else the CONTINUANTS_
+    variable, else the library default; each is checked once, in a fixed order."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(enumeration_limit=0)
-        with pytest.raises(ValueError):
-            RunConfig(precision_bits=256, max_precision_bits=128)
-        with pytest.raises(ValueError):
-            RunConfig(output_format="yaml")
+    @pytest.fixture(autouse=True)
+    def clean_environment(self, monkeypatch):
+        for name in ("LIMIT", "PRECISION", "FORMAT"):
+            monkeypatch.delenv("CONTINUANTS_" + name, raising=False)
+
+    @pytest.mark.parametrize(
+        "env, flags, message",
+        [
+            ({}, ["--limit", "0"], "enumeration limit must be positive, got 0"),
+            ({}, ["--precision", "0"], "precision must be positive, got 0"),
+            ({}, ["--precision", "512:64"], "maximum precision 64 is below the initial precision 512"),
+            ({}, ["--precision", "64:x"], "invalid precision: 'x' is not an integer"),
+            ({}, ["--workers", "0", "--limit", "0"], "workers must be positive, got 0"),
+            ({}, ["--limit", "0", "--precision", "0"], "enumeration limit must be positive, got 0"),
+            ({"LIMIT": "0"}, [], "enumeration limit must be positive, got 0"),
+            ({"FORMAT": ""}, [], "invalid CONTINUANTS_FORMAT: '' is not one of plain, json, csv"),
+            ({"PRECISION": "1:2:3"}, [], "invalid CONTINUANTS_PRECISION: '2:3' is not an integer"),
+            ({"PRECISION": ""}, [], "invalid CONTINUANTS_PRECISION: '' is not an integer"),
+            ({"FORMAT": "yaml", "LIMIT": "x"}, [], "invalid CONTINUANTS_LIMIT: 'x' is not an integer"),
+            (
+                {"FORMAT": "yaml"},
+                ["--precision", "x"],
+                "invalid CONTINUANTS_FORMAT: 'yaml' is not one of plain, json, csv",
+            ),
+        ],
+    )
+    def test_bad_setting(self, capsys, monkeypatch, env, flags, message):
+        for name, value in env.items():
+            monkeypatch.setenv("CONTINUANTS_" + name, value)
+        expected = (EXIT_USAGE, "", f"error: {message}\n")
+        assert run(capsys, "bounds", "--t", "1", "--l", "1", *flags) == expected
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        """Record the keywords main() passes to module.name, which still runs."""
+        seen = {}
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+        return seen
+
+    def test_default_limit(self, capsys, monkeypatch):
+        seen = self.spy(monkeypatch, census, "run_census")
+        assert run(capsys, "census", "--alphabet", "1,2", "--parikh", "2,2")[0] == EXIT_OK
+        assert seen["limit"] == 10**8
+
+    @pytest.mark.parametrize(
+        "env, flags, expected",
+        [
+            ({}, [], (128, 4096)),
+            ({}, ["--precision", "256"], (256, 4096)),
+            ({"PRECISION": "256:1024"}, [], (256, 1024)),
+            ({"PRECISION": "256:1024"}, ["--precision", "64"], (64, 4096)),
+        ],
+        ids=["default", "flag-init", "env-init-max", "flag-beats-env"],
+    )
+    def test_precision(self, capsys, monkeypatch, env, flags, expected):
+        for name, value in env.items():
+            monkeypatch.setenv("CONTINUANTS_" + name, value)
+        seen = self.spy(monkeypatch, bounds, "bounds_report")
+        assert run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3", *flags)[0] == EXIT_OK
+        assert (seen["prec"], seen["max_prec"]) == expected
