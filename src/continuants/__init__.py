@@ -21,21 +21,11 @@ from .bounds import (
     stirling_enclosure,
     value_count_upper_bound,
 )
-from .census import (
-    CensusReport,
-    ClassTooLargeError,
-    ValueBudgetExceededError,
-    ValueWitnesses,
-    enumerate_classes,
-    exact_class_count,
-    multiplicity_of,
-    multiset_permutations,
-    palindromic_count,
-    run_census,
-)
+from .census import CensusReport, ValueBudgetExceededError, ValueWitnesses, run_census
 from .core import (
     Alphabet,
     CanonicalWord,
+    ClassTooLargeError,
     ParikhVector,
     Word,
     abelian_class_of,
@@ -43,8 +33,10 @@ from .core import (
     continuant,
     continuant_matrix,
     doubling_bound_check,
+    exact_class_count,
     format_word,
     generalized_fibonacci,
+    palindromic_count,
     parse_word,
     split_identity,
 )
@@ -62,6 +54,7 @@ from .extremal import (
     pareto_max,
     verify_max_arrangement,
 )
+from .reference import enumerate_classes, multiplicity_of, multiset_permutations
 
 __version__ = "0.1.0"
 

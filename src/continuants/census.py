@@ -1,20 +1,10 @@
-"""Abelian-class enumeration and exact continuant-value censuses.
+"""Exact continuant-value censuses of Abelian classes.
 
 An Abelian class is the set of all rearrangements of a word, with every
-word identified with its reversal.  This module enumerates a class exactly
-once per reversal pair, evaluates the continuant on every member, and
-reports the class size N, the number of distinct values P, the multiplicity
-spectrum (how many values are hit exactly mu times), and witnesses.
-
-``_members`` is the lexicographic reference: next-multiset-permutation
-keeps a permutation iff it is <= its reversal, so each reversal class
-arrives once, at its canonical representative, in lexicographic order,
-without any seen-set, and is yielded with its rolling continuant.
-``enumerate_classes`` streams the same words; ``multiplicity_of``, the
-reference census scan ``_scan_shard`` and the extremal oracle
-``extremal.brute_force_extrema`` run on it.
-``_class_size`` is the one enumeration limit gate, which every class-wide
-routine passes first.
+word identified with its reversal.  A census evaluates the continuant on
+every member once per reversal pair and reports the class size N, the
+number of distinct values P, the multiplicity spectrum (how many values
+are hit exactly mu times), and witnesses.
 
 ``_value_table``, behind ``run_census`` and the explorer, is a
 meet-in-the-middle kernel (``_rows``): it splits each member into two
@@ -22,16 +12,17 @@ halves, keeps for every half count vector the continuant pairs of its
 arrangements (``_half_tables``, built once per call, no words stored),
 and evaluates each reversal class once by the splitting identity, with no
 reversal comparison.  It shares that identity with
-``extremal.pareto_max``; the reference does not, so the oracles the tests
-compare it with stay independent of it.  Values are keyed by exact integer
-equality, and no path starts a process.  The value budget is checked
-after every row, so the table holds at most the budget plus one row, and
-the kernel raises ``ValueBudgetExceededError`` with its own counters.
-Witness words come from a second pass over the same tables; when only
-some values are picked, it skips every row whose exact value interval
-holds none of them.  The tables are in a closed-form order, so
-``_arrangement`` spells the word at a table index, and a word is spelled
-only where a picked value lies.
+``extremal.pareto_max``; the lexicographic reference in ``reference``
+does not, so the oracles the tests compare it with stay independent of
+it.  Values are keyed by exact integer equality, and no path starts a
+process.  The class-size gate ``core._class_size`` runs first.  The value
+budget is checked after every row, so the table holds at most the budget
+plus one row, and the kernel raises ``ValueBudgetExceededError`` with its
+own counters.  Witness words come from a second pass over the same
+tables; when only some values are picked, it skips every row whose exact
+value interval holds none of them.  The tables are in a closed-form
+order, so ``_arrangement`` spells the word at a table index, and a word
+is spelled only where a picked value lies.
 """
 
 from __future__ import annotations
@@ -45,19 +36,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import (
-    Alphabet,
-    CanonicalWord,
-    ParikhVector,
-    Word,
-    abelian_class_of,
-    check_aligned,
-    continuant,
-    format_word,
-    int_text,
-)
+from .core import DEFAULT_CLASS_LIMIT, Alphabet, CanonicalWord, ParikhVector, _class_size, _multinomial
+from .core import format_word, int_text
+from .reference import _members
 
-DEFAULT_CLASS_LIMIT = 10**8
+# Unused here; perfbench/layers.py calls census.multiset_permutations,
+# enumerate_classes and exact_class_count.
+from .core import exact_class_count
+from .reference import enumerate_classes, multiset_permutations
+
 DEFAULT_VALUE_BUDGET = 10**6
 
 # Witness retention: the top WITNESS_TOP_K distinct multiplicities, at most
@@ -66,17 +53,6 @@ DEFAULT_VALUE_BUDGET = 10**6
 WITNESS_TOP_K = 3
 WITNESS_VALUES_PER_MULT = 10
 WITNESS_WORDS_PER_VALUE = 10
-
-
-class ClassTooLargeError(Exception):
-    """The Abelian class exceeds the configured enumeration limit."""
-
-    def __init__(self, class_size: int, limit: int):
-        super().__init__(
-            f"class has {class_size} members up to reversal, exceeding the limit of {limit}"
-        )
-        self.class_size = class_size
-        self.limit = limit
 
 
 class ValueBudgetExceededError(Exception):
@@ -97,115 +73,6 @@ class ValueBudgetExceededError(Exception):
         self.distinct_values_seen = distinct_values_seen
         self.budget = budget
         self.classes_evaluated = classes_evaluated
-
-
-def _counts_of(parikh) -> tuple[int, ...]:
-    if isinstance(parikh, ParikhVector):
-        return parikh.counts
-    return ParikhVector(tuple(parikh)).counts
-
-
-def _multinomial(counts: Sequence[int]) -> int:
-    out = math.factorial(sum(counts))
-    for p in counts:
-        out //= math.factorial(p)
-    return out
-
-
-def exact_class_count(parikh) -> int:
-    """Exact number of class members up to reversal: (multinomial + palindromes) / 2.
-
-    The multinomial n!/(p_1! ... p_s!) counts raw permutations; each
-    palindromic arrangement is its own reversal, every other one pairs off.
-    """
-    counts = _counts_of(parikh)
-    return (_multinomial(counts) + palindromic_count(counts)) // 2
-
-
-def palindromic_count(parikh) -> int:
-    """Number of palindromic arrangements: 0, or the multinomial of the halved counts."""
-    counts = _counts_of(parikh)
-    if sum(p % 2 for p in counts) > 1:
-        return 0
-    return _multinomial([p // 2 for p in counts])
-
-
-def _class_size(alphabet: Alphabet, parikh: ParikhVector, limit: int) -> int:
-    """Exact class size up to reversal; ClassTooLargeError if it exceeds ``limit``."""
-    check_aligned(alphabet, parikh)
-    size = exact_class_count(parikh)
-    if size > limit:
-        raise ClassTooLargeError(size, limit)
-    return size
-
-
-def multiset_permutations(letters: Sequence[int], counts: Sequence[int]) -> Iterator[tuple]:
-    """All permutations of the multiset {letters[i] x counts[i]}, lex ascending."""
-    start = []
-    for a, p in zip(letters, counts):
-        start.extend([a] * p)
-    start.sort()
-    return _perms_from(start)
-
-
-def _perms_from(start: list, lo: int = 0) -> Iterator[tuple]:
-    # Lexicographic successor loop on a working list; O(1) amortized extra
-    # work per permutation.  The first ``lo`` letters stay fixed.
-    w = list(start)
-    n = len(w)
-    while True:
-        yield tuple(w)
-        i = n - 2
-        while i >= lo and w[i] >= w[i + 1]:
-            i -= 1
-        if i < lo:
-            return
-        j = n - 1
-        while w[j] <= w[i]:
-            j -= 1
-        w[i], w[j] = w[j], w[i]
-        w[i + 1 :] = w[:i:-1]
-
-
-def enumerate_classes(
-    alphabet: Alphabet,
-    parikh: ParikhVector,
-    *,
-    limit: int = DEFAULT_CLASS_LIMIT,
-) -> Iterator[CanonicalWord]:
-    """Yield each reversal class of the Abelian class exactly once.
-
-    Palindromes appear once; output is in lexicographic order of the
-    canonical representatives.  Raises ClassTooLargeError before yielding
-    anything if the class exceeds ``limit``.
-    """
-    _class_size(alphabet, parikh, limit)
-
-    def gen() -> Iterator[CanonicalWord]:
-        for w in multiset_permutations(alphabet.letters, parikh.counts):
-            if w <= w[::-1]:
-                yield CanonicalWord._trusted(w)
-
-    return gen()
-
-
-def _members(letters: Sequence[int], counts: Sequence[int], prefix: tuple = ()) -> Iterator[tuple]:
-    """Yield (w, K(w)) for each class member w <= reversed(w) starting with ``prefix``.
-
-    Each reversal class arrives once, at its canonical representative, in
-    lexicographic order.  K is ``core.continuant``'s recursion without its
-    letter check: class letters are already validated.
-    """
-    rest = list(counts)
-    for a in prefix:
-        rest[letters.index(a)] -= 1
-    tail = sorted(a for a, p in zip(letters, rest) for _ in range(p))
-    for w in _perms_from(list(prefix) + tail, len(prefix)):
-        if w <= w[::-1]:
-            prev, cur = 0, 1
-            for a in w:
-                prev, cur = cur, a * cur + prev
-            yield w, cur
 
 
 # ---------------------------------------------------------------------------
@@ -534,18 +401,3 @@ def run_census(
         min_value=min(table),
         witnesses=witnesses,
     )
-
-
-def multiplicity_of(word: Sequence[int], *, limit: int = DEFAULT_CLASS_LIMIT) -> int:
-    """How many reversal classes in the Abelian class of ``word`` share its value.
-
-    Streaming count, O(1) memory: enumerates the class and counts members
-    whose continuant equals K(word).
-    """
-    w = Word(word)
-    target = continuant(w)
-    if len(w) == 0:
-        return 1
-    alphabet, parikh = abelian_class_of(w)
-    _class_size(alphabet, parikh, limit)
-    return sum(1 for _, v in _members(alphabet.letters, parikh.counts) if v == target)

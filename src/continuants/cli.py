@@ -36,8 +36,11 @@ from . import census as census_mod
 from . import explorer as explorer_mod
 from . import extremal as extremal_mod
 from .bounds import PrecisionExhaustedError
-from .census import ClassTooLargeError, ValueBudgetExceededError
-from .core import Alphabet, ParikhVector, _parse_positive, continuant, format_word, int_text, parse_word
+from .census import ValueBudgetExceededError
+from .core import (
+    DEFAULT_CLASS_LIMIT, Alphabet, ClassTooLargeError, ParikhVector, _parse_positive, check_shape,
+    continuant, format_word, int_text, parse_word,
+)
 
 ENV_PREFIX = "CONTINUANTS_"
 
@@ -135,9 +138,7 @@ def _resolve_settings(args: argparse.Namespace) -> None:
     """
     if args.limit is None:
         limit = _env("LIMIT")
-        args.limit = (
-            census_mod.DEFAULT_CLASS_LIMIT if limit is None else _parse_int(limit, ENV_PREFIX + "LIMIT")
-        )
+        args.limit = DEFAULT_CLASS_LIMIT if limit is None else _parse_int(limit, ENV_PREFIX + "LIMIT")
     precision, what = args.precision, "precision"
     if precision is None:
         precision, what = _env("PRECISION"), ENV_PREFIX + "PRECISION"
@@ -165,18 +166,24 @@ def _resolve_settings(args: argparse.Namespace) -> None:
     args.precision = (prec, max_prec)
 
 
-def _parse_alphabet(args: argparse.Namespace) -> Alphabet:
+def _parse_alphabet(args: argparse.Namespace, parikh: ParikhVector | None = None) -> Alphabet:
+    """--alphabet or --lacunary.  A lacunary alphabet's letter count t + s - l
+    is checked against ``parikh``, when given, before any letter is built."""
     if args.lacunary is not None:
         if args.alphabet is not None:
             raise ValueError("give either --alphabet or --lacunary, not both")
         fields = [tok.strip() for tok in args.lacunary.split(",")]
         if len(fields) < 4:
             raise ValueError("--lacunary needs at least t,l,s and one low-part letter")
-        values = [_parse_int(tok, "lacunary field") for tok in fields]
-        t, l, s = values[0], values[1], values[2]
-        low = values[3:]
+        t, l, s, *low = [_parse_int(tok, "lacunary field") for tok in fields]
         if len(low) != t:
             raise ValueError(f"--lacunary lists {len(low)} low-part letters, expected t={int_text(t)}")
+        if parikh is not None and t + s - l != parikh.size:  # a bad shape or low part is reported first
+            check_shape(t, l, s)
+            Alphabet.from_lacunary(t, l, l + 1, low)  # checks the low part; builds no high part
+            raise ValueError(
+                f"alphabet has {int_text(t + s - l)} letters but Parikh vector has {parikh.size} counts"
+            )
         return Alphabet.from_lacunary(t, l, s, low)
     if args.alphabet is None:
         raise ValueError("an alphabet is required (--alphabet or --lacunary)")
@@ -247,8 +254,8 @@ def _cmd_continuant(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_wmax(args: argparse.Namespace) -> _Output:
-    alphabet = _parse_alphabet(args)
     parikh = _parse_parikh(args.parikh)
+    alphabet = _parse_alphabet(args, parikh)
     word = extremal_mod.max_arrangement(alphabet, parikh)
     verified = None
     if args.verify:
@@ -274,8 +281,8 @@ _CENSUS_FIELDS = (
 
 
 def _cmd_census(args: argparse.Namespace) -> _Output:
-    alphabet = _parse_alphabet(args)
     parikh = _parse_parikh(args.parikh)
+    alphabet = _parse_alphabet(args, parikh)
     doc = census_mod.run_census(alphabet, parikh, limit=args.limit).to_json_dict()
 
     def plain():

@@ -18,10 +18,15 @@ so no floating point appears anywhere here.
 Words are identified with their reversals throughout the package; the
 canonical representative of a reversal pair is the lexicographically
 smaller sequence.
+
+The class counts and the one enumeration limit gate ``_class_size`` live
+here too, so the census, the extremal oracles and the lexicographic
+reference share them without importing one another.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Sequence
@@ -191,6 +196,64 @@ def check_aligned(alphabet: Alphabet, parikh: ParikhVector) -> None:
         raise ValueError(
             f"alphabet has {alphabet.size} letters but Parikh vector has {parikh.size} counts"
         )
+
+
+# ---------------------------------------------------------------------------
+# Class counting and the enumeration limit gate
+# ---------------------------------------------------------------------------
+
+DEFAULT_CLASS_LIMIT = 10**8
+
+
+class ClassTooLargeError(Exception):
+    """The Abelian class exceeds the configured enumeration limit."""
+
+    def __init__(self, class_size: int, limit: int):
+        super().__init__(
+            f"class has {class_size} members up to reversal, exceeding the limit of {limit}"
+        )
+        self.class_size = class_size
+        self.limit = limit
+
+
+def _counts_of(parikh) -> tuple[int, ...]:
+    if isinstance(parikh, ParikhVector):
+        return parikh.counts
+    return ParikhVector(tuple(parikh)).counts
+
+
+def _multinomial(counts: Sequence[int]) -> int:
+    out = math.factorial(sum(counts))
+    for p in counts:
+        out //= math.factorial(p)
+    return out
+
+
+def exact_class_count(parikh) -> int:
+    """Exact number of class members up to reversal: (multinomial + palindromes) / 2.
+
+    The multinomial n!/(p_1! ... p_s!) counts raw permutations; each
+    palindromic arrangement is its own reversal, every other one pairs off.
+    """
+    counts = _counts_of(parikh)
+    return (_multinomial(counts) + palindromic_count(counts)) // 2
+
+
+def palindromic_count(parikh) -> int:
+    """Number of palindromic arrangements: 0, or the multinomial of the halved counts."""
+    counts = _counts_of(parikh)
+    if sum(p % 2 for p in counts) > 1:
+        return 0
+    return _multinomial([p // 2 for p in counts])
+
+
+def _class_size(alphabet: Alphabet, parikh: ParikhVector, limit: int) -> int:
+    """Exact class size up to reversal; ClassTooLargeError if it exceeds ``limit``."""
+    check_aligned(alphabet, parikh)
+    size = exact_class_count(parikh)
+    if size > limit:
+        raise ClassTooLargeError(size, limit)
+    return size
 
 
 # ---------------------------------------------------------------------------

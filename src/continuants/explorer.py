@@ -15,8 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .census import DEFAULT_CLASS_LIMIT, _value_table, exact_class_count
-from .core import Alphabet, CanonicalWord, ParikhVector, format_word, int_text
+from .census import _value_table
+from .core import DEFAULT_CLASS_LIMIT, Alphabet, CanonicalWord, ParikhVector, exact_class_count
+from .core import format_word, int_text
 
 
 @dataclass(frozen=True)

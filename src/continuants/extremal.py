@@ -24,18 +24,21 @@ program over the remaining letter counts that keeps, per count vector,
 only the Pareto front of (K(prefix), K(prefix minus its last letter))
 pairs.  It shares no code with the census, and :func:`verify_max_arrangement`
 runs on it.  :func:`brute_force_extrema` is the small-class reference: it
-evaluates K on every reversal class through the census's lexicographic
-reference ``census._members``.
+evaluates K on every reversal class through the lexicographic reference
+``reference._members``.  ``tests/test_layering.py`` checks that this
+module does not import the census and that no function behind
+:func:`pareto_max` names anything of the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import DEFAULT_CLASS_LIMIT, _class_size, _members
+from .core import DEFAULT_CLASS_LIMIT, Alphabet, CanonicalWord, ParikhVector, Word, _class_size
+from .core import check_aligned, continuant
+from .reference import _members
 # Unused here; perfbench/layers.py counts the yields of extremal.multiset_permutations.
-from .census import multiset_permutations
-from .core import Alphabet, CanonicalWord, ParikhVector, Word, check_aligned, continuant
+from .reference import multiset_permutations
 
 
 @dataclass(frozen=True)

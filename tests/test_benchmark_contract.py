@@ -10,7 +10,7 @@ updates the probe first (ROADMAP.md, "Benchmark contract").
 
 import pickle
 
-from continuants import Alphabet, ParikhVector, bounds, census, cli, core, explorer, extremal
+from continuants import Alphabet, ParikhVector, bounds, census, cli, core, explorer, extremal, reference
 
 # (module, attribute) pairs the tracer wraps or reads.
 TRACED = [
@@ -35,6 +35,15 @@ TRACED = [
     (cli, "main"),
 ]
 
+# Names census and extremal keep only for the probe, with the module that
+# defines each; they must stay the same objects, not forks.
+FORWARDED = [
+    (census, "multiset_permutations", reference),
+    (census, "enumerate_classes", reference),
+    (census, "exact_class_count", core),
+    (extremal, "multiset_permutations", reference),
+]
+
 ALPHABET, PARIKH = Alphabet((1, 2, 3)), ParikhVector((2, 1, 2))
 BUDGET = census.DEFAULT_VALUE_BUDGET
 
@@ -42,6 +51,13 @@ BUDGET = census.DEFAULT_VALUE_BUDGET
 def test_traced_names_exist():
     missing = [f"{m.__name__}.{name}" for m, name in TRACED if not hasattr(m, name)]
     assert missing == []
+
+
+def test_forwarded_names_are_their_home_objects():
+    forks = [
+        f"{m.__name__}.{name}" for m, name, home in FORWARDED if getattr(m, name) is not getattr(home, name)
+    ]
+    assert forks == []
 
 
 def test_pool_class_can_be_subclassed():

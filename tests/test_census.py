@@ -33,6 +33,7 @@ from continuants import (
     run_census,
     verify_max_arrangement,
 )
+from continuants.reference import _members
 
 from helpers import small_classes, words
 
@@ -259,7 +260,7 @@ class TestMembers:
                 for w in multiset_permutations(letters, counts)
                 if w <= w[::-1] and w[: len(prefix)] == prefix
             ]
-            assert list(census._members(letters, counts, prefix)) == expected
+            assert list(_members(letters, counts, prefix)) == expected
 
 
 def _class_word(a, p):

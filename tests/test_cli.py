@@ -125,6 +125,9 @@ class TestWmaxCommand:
             ("2,3,6,0,1", "low-part letters must be >= 1"),
             ("2,3,5,3,1", "low-part letters must be strictly increasing"),
             ("2,2,4,1,3", "largest low-part letter 3 exceeds l=2"),
+            # The letter count, about 10^12, is wrong too; the low part is still reported first.
+            ("2,3,1000000000001,3,1", "low-part letters must be strictly increasing"),
+            ("1,2,1000000000000,3", "largest low-part letter 3 exceeds l=2"),
         ],
     )
     def test_bad_lacunary(self, capsys, lacunary, message):
@@ -422,6 +425,19 @@ class TestLongFields:
                 cli._parse_int(text, "field")
         else:
             assert cli._parse_int(text, "field") == expected
+
+
+class TestLacunaryLetterCount:
+    """wmax and census count a --lacunary alphabet's letters, t + s - l,
+    against the Parikh vector before they build them."""
+
+    @pytest.mark.parametrize("command", ["wmax", "census"])
+    @pytest.mark.parametrize("s", ["3", "1000000000000", PAST_LIMIT], ids=["3", "10^12", "past-limit"])
+    def test_count_is_checked_before_the_letters_are_built(self, capsys, command, s):
+        # t = l = 1, so the alphabet would have s letters; s = 3 is today's check_aligned error.
+        code, out, err = run(capsys, command, "--lacunary", f"1,1,{s},1", "--parikh", "1,1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: alphabet has {s} letters but Parikh vector has 2 counts\n"
 
 
 @pytest.mark.parametrize(
