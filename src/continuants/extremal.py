@@ -23,38 +23,20 @@ The construction is checked rather than trusted, by two oracles.
 program over the remaining letter counts that keeps, per count vector,
 only the Pareto front of (K(prefix), K(prefix minus its last letter))
 pairs.  It shares no code with the census, and :func:`verify_max_arrangement`
-runs on it.  :func:`brute_force_extrema` is the small-class reference: it
-evaluates K on every reversal class through the lexicographic reference
-``reference._members``.  ``tests/test_layering.py`` checks that this
-module does not import the census and that no function behind
-:func:`pareto_max` names anything of the reference.
+runs on it.  The small-class reference ``reference.brute_force_extrema``
+evaluates K on every reversal class of the lexicographic reference; it is
+bound here only for the benchmark probe.  ``tests/test_layering.py``
+checks that this module does not import the census and that no function
+or class here names anything of the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .core import DEFAULT_CLASS_LIMIT, Alphabet, ParikhVector, Word, _class_size, check_aligned, continuant
 
-from .core import DEFAULT_CLASS_LIMIT, Alphabet, CanonicalWord, ParikhVector, Word, _class_size
-from .core import check_aligned, continuant
-from .reference import _members
-# Unused here; perfbench/layers.py counts the yields of extremal.multiset_permutations.
-from .reference import multiset_permutations
-
-
-@dataclass(frozen=True)
-class ExtremalResult:
-    """Extreme continuant values over a class, with all attaining words.
-
-    ``argmax`` and ``argmin`` hold canonical representatives, sorted
-    lexicographically.  For the regular continuant the argmax is a
-    singleton (uniqueness up to reversal); the argmin is reported for
-    exploratory use.
-    """
-
-    argmax: tuple[CanonicalWord, ...]
-    argmin: tuple[CanonicalWord, ...]
-    max_value: int
-    min_value: int
+# Unused here; perfbench/layers.py wraps extremal.brute_force_extrema and
+# counts the yields of extremal.multiset_permutations.
+from .reference import brute_force_extrema, multiset_permutations
 
 
 def max_arrangement(alphabet: Alphabet, parikh: ParikhVector) -> Word:
@@ -79,36 +61,6 @@ def max_arrangement(alphabet: Alphabet, parikh: ParikhVector) -> Word:
         else:
             out.append(letters[idx])
     return Word(out)
-
-
-def brute_force_extrema(
-    alphabet: Alphabet,
-    parikh: ParikhVector,
-    *,
-    limit: int = DEFAULT_CLASS_LIMIT,
-) -> ExtremalResult:
-    """Exhaustive extremal oracle: evaluate K on the whole class.
-
-    The reference loop ``_members`` yields each reversal class once, as its
-    canonical word in lexicographic order; the extreme values are kept with
-    every class attaining them, so argmax and argmin come out sorted.
-    """
-    _class_size(alphabet, parikh, limit)
-    best = worst = None
-    best_words: list[tuple] = []
-    worst_words: list[tuple] = []
-    for w, cur in _members(alphabet.letters, parikh.counts):
-        if best is None or cur > best:
-            best, best_words = cur, [w]
-        elif cur == best:
-            best_words.append(w)
-        if worst is None or cur < worst:
-            worst, worst_words = cur, [w]
-        elif cur == worst:
-            worst_words.append(w)
-    argmax = tuple(CanonicalWord._trusted(w) for w in best_words)
-    argmin = tuple(CanonicalWord._trusted(w) for w in worst_words)
-    return ExtremalResult(argmax=argmax, argmin=argmin, max_value=best, min_value=worst)
 
 
 def pareto_max(alphabet: Alphabet, parikh: ParikhVector) -> tuple[int, int]:

@@ -3,19 +3,23 @@
 ``_members`` steps through the arrangements by the next-permutation
 successor and keeps each one that is <= its reversal, so every reversal
 class arrives once, at its canonical word, in lexicographic order, with its
-rolling continuant.  ``enumerate_classes``, ``multiplicity_of``,
-``extremal.brute_force_extrema`` and the census reference scan run on it.
-It imports only ``core`` and uses no splitting identity, so it is
-independent of the census kernel and of ``extremal.pareto_max``, which the
-tests check against it; ``tests/test_layering.py`` keeps it so.
+rolling continuant.  Every oracle the fast kernels are checked against runs
+on it and lives here: ``enumerate_classes``, ``multiplicity_of``, the
+census reference scan ``_scan_shard`` (with ``_shard_prefixes``, which
+splits a class by its two-letter prefixes) and the extremal oracle
+``brute_force_extrema``.  It imports only ``core`` and uses no splitting
+identity, so it is independent of the census kernel and of
+``extremal.pareto_max``, which the tests check against it;
+``tests/test_layering.py`` keeps it so.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import DEFAULT_CLASS_LIMIT, Alphabet, CanonicalWord, ParikhVector, Word, _class_size
-from .core import abelian_class_of, continuant
+from .core import DEFAULT_CLASS_LIMIT, Alphabet, CanonicalWord, ParikhVector, ValueBudgetExceededError, Word
+from .core import _class_size, abelian_class_of, continuant
 
 
 def multiset_permutations(letters: Sequence[int], counts: Sequence[int]) -> Iterator[tuple]:
@@ -100,3 +104,91 @@ def multiplicity_of(word: Sequence[int], *, limit: int = DEFAULT_CLASS_LIMIT) ->
     alphabet, parikh = abelian_class_of(w)
     _class_size(alphabet, parikh, limit)
     return sum(1 for _, v in _members(alphabet.letters, parikh.counts) if v == target)
+
+
+def _scan_shard(args) -> tuple[int, dict, dict]:
+    """Count continuant values over the class members that start with ``prefix``.
+
+    Returns (classes_seen, value -> count, value -> list of first words).
+    Raises ValueBudgetExceededError as soon as the table outgrows
+    ``value_budget``; with the empty prefix that is the whole class's table.
+    """
+    letters, counts, prefix, words_per_value, value_budget = args
+    table: dict = {}
+    words: dict = {}
+    classes = 0
+    for w, cur in _members(letters, counts, prefix):
+        classes += 1
+        seen = table.get(cur)
+        if seen is None:
+            table[cur] = 1
+            if len(table) > value_budget:
+                raise ValueBudgetExceededError(len(table), value_budget, classes)
+        else:
+            table[cur] = seen + 1
+        if words_per_value:
+            got = words.get(cur)
+            if got is None:
+                words[cur] = [w]
+            elif len(got) < words_per_value:
+                got.append(w)
+    return classes, table, words
+
+
+def _shard_prefixes(letters: tuple, counts: tuple) -> list[tuple]:
+    """Distinct two-letter prefixes of class members, in lexicographic order."""
+    prefixes = []
+    for i, a in enumerate(letters):
+        if counts[i] == 0:
+            continue
+        for j, b in enumerate(letters):
+            left = counts[j] - (1 if i == j else 0)
+            if left > 0:
+                prefixes.append((a, b))
+    return prefixes
+
+
+@dataclass(frozen=True)
+class ExtremalResult:
+    """Extreme continuant values over a class, with all attaining words.
+
+    ``argmax`` and ``argmin`` hold canonical representatives, sorted
+    lexicographically.  For the regular continuant the argmax is a
+    singleton (uniqueness up to reversal); the argmin is reported for
+    exploratory use.
+    """
+
+    argmax: tuple[CanonicalWord, ...]
+    argmin: tuple[CanonicalWord, ...]
+    max_value: int
+    min_value: int
+
+
+def brute_force_extrema(
+    alphabet: Alphabet,
+    parikh: ParikhVector,
+    *,
+    limit: int = DEFAULT_CLASS_LIMIT,
+) -> ExtremalResult:
+    """Exhaustive extremal oracle: evaluate K on the whole class.
+
+    The reference loop ``_members`` yields each reversal class once, as its
+    canonical word in lexicographic order; the extreme values are kept with
+    every class attaining them, so argmax and argmin come out sorted.
+    """
+    _class_size(alphabet, parikh, limit)
+    best = worst = None
+    best_words: list[tuple] = []
+    worst_words: list[tuple] = []
+    for w, cur in _members(alphabet.letters, parikh.counts):
+        if best is None or cur > best:
+            best, best_words = cur, [w]
+        elif cur == best:
+            best_words.append(w)
+        if worst is None or cur < worst:
+            worst, worst_words = cur, [w]
+        elif cur == worst:
+            worst_words.append(w)
+    argmax = tuple(CanonicalWord._trusted(w) for w in best_words)
+    argmin = tuple(CanonicalWord._trusted(w) for w in worst_words)
+    return ExtremalResult(argmax=argmax, argmin=argmin, max_value=best, min_value=worst)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from continuants import census
+from continuants import census, reference
 from continuants import (
     Alphabet,
     ClassTooLargeError,
@@ -80,8 +80,8 @@ def test_criterion_1_extremal_correctness_sweep(capsys):
 def test_criterion_2_desk_census_golden(capsys):
     a, p = Alphabet((1, 2)), ParikhVector((2, 2))
     single = run_census(a, p)
-    reference = (a.letters, p.counts, (), census.WITNESS_WORDS_PER_VALUE, census.DEFAULT_VALUE_BUDGET)
-    classes, table, words = census._scan_shard(reference)
+    scan = (a.letters, p.counts, (), census.WITNESS_WORDS_PER_VALUE, census.DEFAULT_VALUE_BUDGET)
+    classes, table, words = reference._scan_shard(scan)
     assert single.class_size == 4
     assert single.distinct_values == 4
     values = {w.value for w in single.witnesses}

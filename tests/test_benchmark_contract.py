@@ -41,7 +41,10 @@ FORWARDED = [
     (census, "multiset_permutations", reference),
     (census, "enumerate_classes", reference),
     (census, "exact_class_count", core),
+    (census, "_scan_shard", reference),
+    (census, "_shard_prefixes", reference),
     (extremal, "multiset_permutations", reference),
+    (extremal, "brute_force_extrema", reference),
 ]
 
 ALPHABET, PARIKH = Alphabet((1, 2, 3)), ParikhVector((2, 1, 2))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from continuants import census
+from continuants import census, reference
 
 from continuants import (
     Alphabet,
@@ -193,7 +193,7 @@ class TestRunCensus:
 
     def test_value_budget_exceeded(self):
         with pytest.raises(ValueBudgetExceededError) as info:
-            run_census(alpha(1, 2), parikh(2, 2), value_budget=3)
+            census._value_table(alpha(1, 2), parikh(2, 2), value_budget=3)
         assert info.value.budget == 3
         assert info.value.distinct_values_seen > 3
         assert "not valid" in str(info.value)
@@ -254,7 +254,7 @@ class TestMembers:
     @settings(max_examples=50, deadline=None)
     def test_matches_filtered_permutations(self, cls):
         letters, counts = cls
-        for prefix in [()] + census._shard_prefixes(letters, counts):
+        for prefix in [()] + reference._shard_prefixes(letters, counts):
             expected = [
                 (w, continuant(w))
                 for w in multiset_permutations(letters, counts)
@@ -307,7 +307,7 @@ class TestMultisetPermutations:
 
 def reference_table(letters, counts, words_per_value, witness_values):
     """What _value_table returns, computed by the reference scan _scan_shard."""
-    classes, table, words = census._scan_shard((letters, counts, (), words_per_value, 10**9))
+    classes, table, words = reference._scan_shard((letters, counts, (), words_per_value, 10**9))
     if not words_per_value:
         return classes, table, {}
     wanted = table if witness_values is None else witness_values(table)
@@ -315,7 +315,7 @@ def reference_table(letters, counts, words_per_value, witness_values):
 
 
 def assert_matches_reference(letters, counts, words_per_value=3):
-    for pick in (None, lambda t: census._report_values(t, 3)):
+    for pick in (None, lambda t: census._report_values(t, 3, Counter(t.values()))):
         got = census._value_table(
             alpha(*letters), parikh(*counts), words_per_value=words_per_value, witness_values=pick
         )
@@ -393,7 +393,7 @@ class TestKernels:
         # counters of the rows it has seen; the reference scan is not run.
         rows, kernel = [], census._rows
         monkeypatch.setattr(census, "_rows", lambda *a: (rows.append(list(r[-1])) or r for r in kernel(*a)))
-        monkeypatch.setattr(census, "_scan_shard", refuse_scan)
+        monkeypatch.setattr(reference, "_scan_shard", refuse_scan)
         with pytest.raises(ValueBudgetExceededError) as info:
             census._value_table(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
         before, seen = set().union(*rows[:-1]), set().union(*rows)
@@ -406,8 +406,7 @@ class TestKernels:
         # A census-bigint class at seed 0: its 30 picked values sit in a few of 890 rows.
         letters, counts = (632, 926, 976, 100782), (3, 4, 1, 4)
         _, table, _ = census._value_table(alpha(*letters), parikh(*counts))
-        picked = census._report_values(table, census.WITNESS_TOP_K)
-        assert census._report_values(table, census.WITNESS_TOP_K, Counter(table.values())) == picked
+        picked = census._report_values(table, census.WITNESS_TOP_K, Counter(table.values()))
         every = [(r[:-1], set(r[-1])) for r in kernel_rows(letters, counts)]
         kept = [(r[:-1], set(r[-1])) for r in kernel_rows(letters, counts, sorted(picked))]
         holding = [r for r in every if not r[1].isdisjoint(picked)]
@@ -481,10 +480,10 @@ class TestOneProcess:
     def test_value_budget_is_global(self, monkeypatch, calls):
         # The budget spans the whole class within one call and starts afresh
         # on the next call in the same process; the counters are the kernel's.
-        monkeypatch.setattr(census, "_scan_shard", refuse_scan)
+        monkeypatch.setattr(reference, "_scan_shard", refuse_scan)
         for _ in range(calls):
             with pytest.raises(ValueBudgetExceededError) as info:
-                run_census(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
+                census._value_table(alpha(1, 2, 3, 4), parikh(3, 3, 3, 3), value_budget=20_000)
             assert (info.value.distinct_values_seen, info.value.classes_evaluated) == (20059, 26640)
 
     def test_no_process_is_started(self, monkeypatch):

@@ -458,6 +458,20 @@ def test_count_past_the_index_range_is_a_usage_error(capsys, count):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["census", "--parikh", "10000,10000"], ["wmax", "--parikh", "10000,10000", "--verify"],
+     ["explore", "--m-range", "10000..10000"]],
+    ids=["census", "wmax-verify", "explore"],
+)
+def test_class_past_the_digit_limit_is_a_limit_error(capsys, argv):
+    # The class size has 6019 digits: the error prints every one and exits 3.
+    size = str(Decimal(exact_class_count((10000, 10000))))
+    assert len(size) > DIGIT_LIMIT
+    message = f"error: class has {size} members up to reversal, exceeding the limit of 100000000\n"
+    assert run(capsys, argv[0], "--alphabet", "1,2", *argv[1:]) == (EXIT_LIMIT, "", message)
+
+
 CENSUS_PLAIN = """\
 n: 5
 alphabet: 1,2,3

@@ -101,14 +101,12 @@ class TestExactMultiplicityScan:
         res = exact_multiplicity_scan(alpha(1, 2), 2, 5)
         assert res.classes_scanned == 5
         assert res.parikhs_scanned == 3
-        assert res.budget_exhausted
         assert res.records == ()
 
     def test_zero_budget(self):
         res = exact_multiplicity_scan(alpha(1, 2), 2, 0)
         assert res.classes_scanned == 0
         assert res.parikhs_scanned == 0
-        assert res.budget_exhausted
 
     def test_four_letter_golden(self):
         # Frozen findings of the first exhaustive scan over {1,2,3,4}:
@@ -118,7 +116,6 @@ class TestExactMultiplicityScan:
         res = exact_multiplicity_scan(alpha(1, 2, 3, 4), 2, 50)
         assert res.classes_scanned == 42
         assert res.parikhs_scanned == 2
-        assert res.budget_exhausted
         got = [(r.parikh.counts, r.value, tuple(r.word)) for r in res.records]
         assert got == [
             ((1, 1, 1, 1), 38, (1, 3, 4, 2)),

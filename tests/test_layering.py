@@ -2,8 +2,9 @@
 
 The lexicographic reference (``continuants.reference``) is what the census
 kernel and the Pareto-front DP are compared with, so it must not share
-code with them: it imports nothing in the package but ``core``, and no
-kernel function reaches anything imported from it.  Read from the source
+code with them: it imports nothing in the package but ``core``, every
+oracle is defined there, and no function or class of ``census`` or
+``extremal`` names anything imported from it.  Read from the source
 with ``ast``, so no import side effect can hide an edge.
 """
 
@@ -18,7 +19,8 @@ import continuants
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "continuants"
 
 REFERENCE_FAMILY = (
-    "multiset_permutations", "_perms_from", "enumerate_classes", "_members", "multiplicity_of"
+    "multiset_permutations", "_perms_from", "enumerate_classes", "_members", "multiplicity_of",
+    "_scan_shard", "_shard_prefixes", "brute_force_extrema",
 )
 
 KERNELS = {
@@ -88,6 +90,20 @@ def test_no_kernel_function_reaches_the_reference(module):
     assert leaks == {}
 
 
+@pytest.mark.parametrize("module", sorted(KERNELS))
+def test_no_function_or_class_names_the_reference(module):
+    # Module-wide: what census and extremal bind from reference is only
+    # forwarded, never used by code of their own.
+    tree = _tree(module)
+    from_reference = _package_imports(tree).get("reference", set())
+    leaks = {
+        node.name: sorted({n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & from_reference)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {name: names for name, names in leaks.items() if names} == {}
+
+
 def test_each_reference_function_is_defined_once():
     defined = {name: [] for name in REFERENCE_FAMILY}
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -103,7 +119,10 @@ def test_each_reference_function_is_defined_once():
         ("enumerate_classes", "reference"),
         ("multiplicity_of", "reference"),
         ("multiset_permutations", "reference"),
+        ("brute_force_extrema", "reference"),
+        ("ExtremalResult", "reference"),
         ("ClassTooLargeError", "core"),
+        ("ValueBudgetExceededError", "core"),
         ("exact_class_count", "core"),
         ("palindromic_count", "core"),
     ],
