@@ -15,9 +15,10 @@ come from series with rational truncation-error brackets, square roots use
 integer isqrt with directed rounding, and all other arithmetic is exact on
 Fractions.  A threshold comparison is decided only when the enclosure
 excludes the threshold; otherwise precision doubles, up to a hard maximum,
-and failing that the comparison raises instead of guessing.  Boundary
-misclassification would silently change which alphabets count as
-admissible, so nothing here ever rounds to nearest.
+and failing that the comparison raises instead of guessing.  The rule
+1 <= prec <= max_prec lives in _check_precision, which the CLI applies
+too.  Boundary misclassification would silently change which alphabets
+count as admissible, so nothing here ever rounds to nearest.
 
 Floats only ever propose where a search starts; each answer is then
 certified by exact checks on both sides of it.  Certified reals are
@@ -38,7 +39,8 @@ Quantities tied to a lacunary alphabet {b_1<...<b_t} | {l+1..s}:
   growth_factor^m, so any s with growth_factor > 1 forces value collisions
   whose multiplicity grows geometrically.
 * smallest_admissible_s(t, l): least such s (also >= the threshold above
-  and > l, since the alphabet shape needs l < s).
+  and > l, since the alphabet shape needs l < s).  bounds_report alone
+  decides admissibility; is_admissible and smallest_admissible_s read it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import check_shape
+from .core import check_shape, int_text
 
 DEFAULT_PREC_BITS = 128
 MAX_PREC_BITS = 4096
@@ -59,6 +61,16 @@ _GUARD_BITS = 16
 
 # Mantissa bits of the directed-rounding powers in simplified_bound_threshold.
 _DYADIC_BITS = 128
+
+
+def _check_precision(prec: int, max_prec: int) -> None:
+    """Raise ValueError unless 1 <= prec <= max_prec; pass prec twice if there is no maximum."""
+    if prec < 1:
+        raise ValueError(f"precision must be positive, got {prec}")
+    if max_prec < prec:
+        raise ValueError(
+            f"maximum precision {int_text(max_prec)} is below the initial precision {int_text(prec)}"
+        )
 
 
 class PrecisionExhaustedError(Exception):
@@ -165,12 +177,6 @@ class CertifiedReal:
     @property
     def is_exact(self) -> bool:
         return self.lower == self.upper
-
-    def definitely_greater(self, c) -> bool:
-        return self.lower > Fraction(c)
-
-    def definitely_less(self, c) -> bool:
-        return self.upper < Fraction(c)
 
     def to_json_dict(self, digits: int = 36) -> dict:
         # The midpoint N/D and radius R/D share the unreduced denominator
@@ -330,19 +336,15 @@ def simplified_bound_threshold(s: int) -> int:
 # Density power, growth factor, thresholds
 # ---------------------------------------------------------------------------
 
-def _density_fraction(t: int, l: int, s: int) -> Fraction:
-    check_shape(t, l)
-    if s < l - t:
-        raise ValueError(f"density base is negative for s={s} < l-t={l - t}")
-    return Fraction(s - l + t, s + 1) ** (s + 1)
-
-
 def density_power(t: int, l: int, s: int) -> CertifiedReal:
     """((s-l+t)/(s+1))^{s+1} as an exact rational enclosure (radius 0).
 
     Strictly increasing in s on [l-t+1, oo), with limit e^{-(l-t)-1}.
     """
-    f = _density_fraction(t, l, s)
+    check_shape(t, l)
+    if s < l - t:
+        raise ValueError(f"density base is negative for s={s} < l-t={l - t}")
+    f = Fraction(s - l + t, s + 1) ** (s + 1)
     return CertifiedReal(f, f, 0)
 
 
@@ -390,13 +392,14 @@ def density_threshold_s(
     rebuilds e^{-c}/2 only when the precision doubles.
     """
     check_shape(t, l)
+    _check_precision(prec, max_prec)
     c = l - t + 1
     s, q = _density_start(c), prec
     thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
-    while s > c and _density_fraction(t, l, s - 1) >= thr_lo:
+    while s > c and Fraction(s - c, s) ** s >= thr_lo:  # density_power(t, l, s - 1)
         s -= 1
     while True:
-        f = _density_fraction(t, l, s)
+        f = Fraction(s - c + 1, s + 1) ** (s + 1)  # density_power(t, l, s)
         if f >= thr_hi:
             return s
         if f < thr_lo:
@@ -415,6 +418,7 @@ def growth_factor(t: int, l: int, s: int, *, prec: int = DEFAULT_PREC_BITS) -> C
     with the e powers folded to e^{s-l+t}.
     """
     check_shape(t, l, s)
+    _check_precision(prec, prec)
     q = prec + _GUARD_BITS
     k = s - l + t
     e_lo, e_hi = _e_interval(q)
@@ -429,11 +433,11 @@ def _growth_exceeds_one(t: int, l: int, s: int, g: CertifiedReal, max_prec: int)
     Only while g straddles 1 is it rebuilt, at twice its precision, up to
     max_prec.
     """
-    while not (g.definitely_greater(1) or g.definitely_less(1)):
+    while not (g.lower > 1 or g.upper < 1):
         if g.prec_bits >= max_prec:
             raise PrecisionExhaustedError(f"growth_factor({t},{l},{s}) vs 1", max_prec)
         g = growth_factor(t, l, s, prec=min(2 * g.prec_bits, max_prec))
-    return g.definitely_greater(1)
+    return g.lower > 1
 
 
 def smallest_admissible_s(
@@ -447,17 +451,7 @@ def smallest_admissible_s(
 
     Exists because the growth factor behaves like e^s over a polynomial.
     """
-    return _smallest_admissible_s(
-        t, l, density_threshold_s(t, l, prec=prec, max_prec=max_prec), prec, max_prec
-    )
-
-
-def _smallest_admissible_s(t: int, l: int, s_thr: int, prec: int, max_prec: int) -> int:
-    """smallest_admissible_s with density_threshold_s(t, l) = s_thr already known."""
-    s = max(s_thr, l + 1)
-    while not _growth_exceeds_one(t, l, s, growth_factor(t, l, s, prec=prec), max_prec):
-        s += 1
-    return s
+    return bounds_report(t, l, find_admissible=True, prec=prec, max_prec=max_prec).admissible_s
 
 
 def is_admissible(
@@ -474,9 +468,7 @@ def is_admissible(
     applies from there on) and s > l (the shape itself needs it).
     """
     check_shape(t, l, s)
-    if s < density_threshold_s(t, l, prec=prec, max_prec=max_prec):
-        return False
-    return _growth_exceeds_one(t, l, s, growth_factor(t, l, s, prec=prec), max_prec)
+    return bounds_report(t, l, s, prec=prec, max_prec=max_prec).admissible
 
 
 def stirling_enclosure(n: int, *, prec: int = DEFAULT_PREC_BITS) -> tuple[CertifiedReal, CertifiedReal]:
@@ -488,6 +480,7 @@ def stirling_enclosure(n: int, *, prec: int = DEFAULT_PREC_BITS) -> tuple[Certif
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_precision(prec, prec)
     q = prec + _GUARD_BITS
     e_lo, e_hi = _e_interval(q)
     r_lo, r_hi = _sqrt_2pi_interval(n, q)
@@ -549,7 +542,11 @@ def bounds_report(
     prec: int = DEFAULT_PREC_BITS,
     max_prec: int = MAX_PREC_BITS,
 ) -> BoundsReport:
-    """Evaluate every bound derivable from the given parameters."""
+    """Evaluate every bound derivable from the given parameters.
+
+    The only code that combines the density threshold with the certified
+    growth check; density_threshold_s runs first and checks the precision.
+    """
     check_shape(t, l)
     if m is not None and s is None:
         raise ValueError("m was given without s")
@@ -564,7 +561,11 @@ def bounds_report(
         if m is not None:
             vcu = value_count_upper_bound(s, m)
             ccl = class_count_lower_bound(t, l, s, m)
-    adm_s = _smallest_admissible_s(t, l, s_thr, prec, max_prec) if find_admissible else None
+    adm_s = None
+    if find_admissible:
+        adm_s = max(s_thr, l + 1)
+        while not _growth_exceeds_one(t, l, adm_s, growth_factor(t, l, adm_s, prec=prec), max_prec):
+            adm_s += 1
     return BoundsReport(
         t=t,
         l=l,

@@ -156,12 +156,7 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         raise ValueError(f"workers must be positive, got {args.workers}")
     if args.limit < 1:
         raise ValueError(f"enumeration limit must be positive, got {args.limit}")
-    if prec < 1:
-        raise ValueError(f"precision must be positive, got {prec}")
-    if max_prec < prec:
-        raise ValueError(
-            f"maximum precision {int_text(max_prec)} is below the initial precision {int_text(prec)}"
-        )
+    bounds_mod._check_precision(prec, max_prec)
     args.precision = (prec, max_prec)
 
 

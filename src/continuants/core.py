@@ -32,6 +32,12 @@ from decimal import Decimal, InvalidOperation
 from typing import Iterable, Sequence
 
 
+def _check_positive(x, what: str) -> None:
+    """The one rule for letters and counts: an int, not a bool, and >= 1."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        raise ValueError(f"{what} must be integers >= 1, got {x!r}")
+
+
 class Word(tuple):
     """An immutable word of positive integer letters.
 
@@ -44,8 +50,7 @@ class Word(tuple):
     def __new__(cls, letters: Iterable[int] = ()) -> "Word":
         w = super().__new__(cls, letters)
         for a in w:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-                raise ValueError(f"word letters must be integers >= 1, got {a!r}")
+            _check_positive(a, "word letters")
         return w
 
     @classmethod
@@ -117,8 +122,7 @@ class Alphabet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
         for a in self.letters:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-                raise ValueError(f"alphabet letters must be integers >= 1, got {a!r}")
+            _check_positive(a, "alphabet letters")
         if any(x >= y for x, y in zip(self.letters, self.letters[1:])):
             raise ValueError("alphabet letters must be strictly increasing")
 
@@ -163,8 +167,7 @@ class ParikhVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
         for p in self.counts:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise ValueError(f"Parikh counts must be integers >= 1, got {p!r}")
+            _check_positive(p, "Parikh counts")
 
     @classmethod
     def equipartitioned(cls, size: int, m: int) -> "ParikhVector":
@@ -290,8 +293,8 @@ def continuant(word: Sequence[int]) -> int:
     """
     prev, cur = 0, 1
     for a in word:
-        if a < 1:
-            raise ValueError(f"word letters must be integers >= 1, got {a!r}")
+        if a.__class__ is not int or a < 1:  # a plain int >= 1 needs no call
+            _check_positive(a, "word letters")
         prev, cur = cur, a * cur + prev
     return cur
 
@@ -311,8 +314,7 @@ def continuant_matrix(word: Sequence[int]) -> int:
     if n == 0:
         raise ValueError("matrix form needs a nonempty word")
     for a in word:
-        if a < 1:
-            raise ValueError(f"word letters must be integers >= 1, got {a!r}")
+        _check_positive(a, "word letters")
     m = [[0] * n for _ in range(n)]
     for i, a in enumerate(word):
         m[i][i] = a

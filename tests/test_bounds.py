@@ -287,8 +287,8 @@ class TestDensityThreshold:
 
 class TestGrowthFactor:
     def test_certified_against_one(self):
-        assert growth_factor(1, 1, 3).definitely_less(1)
-        assert growth_factor(1, 1, 4).definitely_greater(1)
+        assert growth_factor(1, 1, 3).upper < 1
+        assert growth_factor(1, 1, 4).lower > 1
 
     def test_encloses_point_oracle(self):
         for t, l, s in [(1, 1, 2), (1, 1, 3), (1, 1, 4), (2, 3, 5), (1, 2, 6), (3, 4, 9)]:
@@ -355,6 +355,72 @@ class TestSmallestAdmissible:
         assert info.value.max_prec == 256
         assert info.value.description == "growth_factor(1,1,5) vs 1"
         assert precisions == [64, 128, 256]
+
+
+# FIRST_ADMISSIBLE_BY_GAP[l - t] is the least admissible s of the shape
+# (t, l) whenever it exceeds l, and l + 1 is otherwise; growth_oracle and
+# perfbench/oracle.py give the same values for every t <= l <= 12.
+FIRST_ADMISSIBLE_BY_GAP = (4, 8, 12, 17, 22, 30, 40, 51, 64, 78, 94, 111)
+
+
+class TestAdmissibilityGrid:
+    @pytest.mark.parametrize("l", range(1, 13))
+    def test_every_shape_up_to_l_12(self, l):
+        for t in range(1, l + 1):
+            first = max(FIRST_ADMISSIBLE_BY_GAP[l - t], l + 1)
+            assert smallest_admissible_s(t, l) == first, (t, l)
+            for s in range(l + 1, first + 3):
+                assert is_admissible(t, l, s) == (s >= first), (t, l, s)
+
+    def test_both_read_bounds_report(self, monkeypatch):
+        calls = []
+        report = bounds.bounds_report
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "bounds_report", counted)
+        assert is_admissible(1, 1, 4, prec=64)
+        assert smallest_admissible_s(1, 2, max_prec=256) == 8
+        assert calls == [
+            ((1, 1, 4), {"prec": 64, "max_prec": bounds.MAX_PREC_BITS}),
+            ((1, 2), {"find_admissible": True, "prec": bounds.DEFAULT_PREC_BITS, "max_prec": 256}),
+        ]
+
+
+POSITIVE = "precision must be positive, got {}"
+ORDERED = "maximum precision {} is below the initial precision {}"
+
+
+class TestPrecisionRule:
+    """Every function that takes a precision refuses what --precision refuses, with its message."""
+
+    @pytest.mark.parametrize(
+        "fn, args, kwargs, message",
+        [
+            (density_threshold_s, (1, 1), {"prec": 0}, POSITIVE.format(0)),
+            (bounds_report, (1, 1), {"prec": 0}, POSITIVE.format(0)),
+            (growth_factor, (1, 1, 4), {"prec": 0}, POSITIVE.format(0)),
+            (stirling_enclosure, (3,), {"prec": -5}, POSITIVE.format(-5)),
+            (is_admissible, (1, 1, 4), {"prec": 0}, POSITIVE.format(0)),
+            (smallest_admissible_s, (1, 1), {"prec": 0}, POSITIVE.format(0)),
+            (density_threshold_s, (1, 1), {"prec": 256, "max_prec": 64}, ORDERED.format(64, 256)),
+            (bounds_report, (1, 1, 4), {"prec": 256, "max_prec": 64}, ORDERED.format(64, 256)),
+            (is_admissible, (1, 1, 4), {"prec": 256, "max_prec": 64}, ORDERED.format(64, 256)),
+            (smallest_admissible_s, (1, 1), {"prec": 2, "max_prec": 1}, ORDERED.format(1, 2)),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_refused_with_the_cli_message(self, fn, args, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            fn(*args, **kwargs)
+        assert str(exc.value) == message
+
+    def test_one_bit_is_a_precision(self):
+        assert growth_factor(1, 1, 4, prec=1).prec_bits == 1
+        assert stirling_enclosure(3, prec=1)[0].prec_bits == 1
+        assert density_threshold_s(1, 23, prec=1) == 397
 
 
 class TestStirlingEnclosure:
@@ -455,7 +521,6 @@ class TestCertifiedReal:
         assert cr.midpoint == Fraction(3, 8)
         assert cr.radius == Fraction(1, 8)
         assert not cr.is_exact
-        assert cr.definitely_greater(Fraction(1, 5)) and cr.definitely_less(Fraction(2, 3))
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):

@@ -214,6 +214,36 @@ class TestWordTypes:
         assert canonicalize(u) != canonicalize((2, 1, 3))
 
 
+class _Letter(int):
+    """An int subclass: a valid letter, though not a plain int."""
+
+
+class TestPositiveIntegerRule:
+    """Letters and counts share one rule: an int, not a bool, and >= 1."""
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, 2.0, True, False, "2"], ids=repr)
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (Word, "word letters"),
+            (continuant, "word letters"),
+            (continuant_matrix, "word letters"),
+            (Alphabet, "alphabet letters"),
+            (ParikhVector, "Parikh counts"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_every_entry_point_refuses_with_its_message(self, build, what, bad):
+        with pytest.raises(ValueError) as exc:
+            build((1, bad))
+        assert str(exc.value) == f"{what} must be integers >= 1, got {bad!r}"
+
+    def test_int_subclass_letters_are_letters(self):
+        w = (_Letter(2), 1, _Letter(3))
+        assert Word(w) == (2, 1, 3)
+        assert continuant(w) == continuant_matrix(w) == continuant((2, 1, 3)) == 11
+
+
 class TestAlphabetAndParikh:
     def test_alphabet_must_increase(self):
         with pytest.raises(ValueError):
