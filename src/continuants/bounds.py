@@ -14,11 +14,12 @@ interval enclosures with exact rational endpoints: the constants e and pi
 come from series with rational truncation-error brackets, square roots use
 integer isqrt with directed rounding, and all other arithmetic is exact on
 Fractions.  A threshold comparison is decided only when the enclosure
-excludes the threshold; otherwise precision doubles, up to a hard maximum,
-and failing that the comparison raises instead of guessing.  The rule
-1 <= prec <= max_prec lives in _check_precision, which the CLI applies
-too.  Boundary misclassification would silently change which alphabets
-count as admissible, so nothing here ever rounds to nearest.
+excludes the threshold; otherwise precision doubles, up to MAX_PREC_BITS,
+and failing that the comparison raises instead of guessing.  Only the
+printed enclosures take a precision, checked by _check_precision
+(1 <= prec <= MAX_PREC_BITS, which the CLI applies too).  Boundary
+misclassification would silently change which alphabets count as
+admissible, so nothing here ever rounds to nearest.
 
 Floats only ever propose where a search starts; each answer is then
 certified by exact checks on both sides of it.  Certified reals are
@@ -63,14 +64,12 @@ _GUARD_BITS = 16
 _DYADIC_BITS = 128
 
 
-def _check_precision(prec: int, max_prec: int) -> None:
-    """Raise ValueError unless 1 <= prec <= max_prec; pass prec twice if there is no maximum."""
+def _check_precision(prec: int) -> None:
+    """Raise ValueError unless 1 <= prec <= MAX_PREC_BITS."""
     if prec < 1:
         raise ValueError(f"precision must be positive, got {prec}")
-    if max_prec < prec:
-        raise ValueError(
-            f"maximum precision {int_text(max_prec)} is below the initial precision {int_text(prec)}"
-        )
+    if prec > MAX_PREC_BITS:
+        raise ValueError(f"precision must be at most {int_text(MAX_PREC_BITS)} bits, got {int_text(prec)}")
 
 
 class PrecisionExhaustedError(Exception):
@@ -372,29 +371,23 @@ def _density_start(c: int) -> int:
     return hi
 
 
-def density_threshold_s(
-    t: int,
-    l: int,
-    *,
-    prec: int = DEFAULT_PREC_BITS,
-    max_prec: int = MAX_PREC_BITS,
-) -> int:
+def density_threshold_s(t: int, l: int) -> int:
     """Least s >= l-t+1 with density_power(t, l, s) >= e^{-(l-t)-1} / 2.
 
     The left side is exactly rational and the threshold is irrational, so
-    the certified comparison always resolves at some precision.  A float
-    proposes where the scan starts.  The start steps down while the s
-    below it is not certified below the threshold at the first precision;
-    the density power increases in s, so every s left below is one a scan
-    from l-t+1 would reject at that precision, and the scan from the start
-    reaches the same s, precisions and errors.  A finer enclosure never
-    changes a decision, so the scan keeps the precision it has reached and
-    rebuilds e^{-c}/2 only when the precision doubles.
+    the certified comparison resolves at some precision, which the scan
+    doubles from DEFAULT_PREC_BITS.  A float proposes where the scan
+    starts.  The start steps down while the s below it is not certified
+    below the threshold at the first precision; the density power
+    increases in s, so every s left below is one a scan from l-t+1 would
+    reject at that precision, and the scan from the start reaches the same
+    s, precisions and errors.  A finer enclosure never changes a decision,
+    so the scan keeps the precision it has reached and rebuilds e^{-c}/2
+    only when the precision doubles.
     """
     check_shape(t, l)
-    _check_precision(prec, max_prec)
     c = l - t + 1
-    s, q = _density_start(c), prec
+    s, q = _density_start(c), DEFAULT_PREC_BITS
     thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
     while s > c and Fraction(s - c, s) ** s >= thr_lo:  # density_power(t, l, s - 1)
         s -= 1
@@ -404,10 +397,10 @@ def density_threshold_s(
             return s
         if f < thr_lo:
             s += 1
-        elif q >= max_prec:
-            raise PrecisionExhaustedError(f"density_power({t},{l},{s}) vs half-limit", max_prec)
+        elif q >= MAX_PREC_BITS:
+            raise PrecisionExhaustedError(f"density_power({t},{l},{s}) vs half-limit", MAX_PREC_BITS)
         else:
-            q = min(2 * q, max_prec)
+            q = min(2 * q, MAX_PREC_BITS)
             thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
 
 
@@ -418,7 +411,7 @@ def growth_factor(t: int, l: int, s: int, *, prec: int = DEFAULT_PREC_BITS) -> C
     with the e powers folded to e^{s-l+t}.
     """
     check_shape(t, l, s)
-    _check_precision(prec, prec)
+    _check_precision(prec)
     q = prec + _GUARD_BITS
     k = s - l + t
     e_lo, e_hi = _e_interval(q)
@@ -427,48 +420,35 @@ def growth_factor(t: int, l: int, s: int, *, prec: int = DEFAULT_PREC_BITS) -> C
     return CertifiedReal(c * e_lo**k / r_hi, c * e_hi**k / r_lo, prec)
 
 
-def _growth_exceeds_one(t: int, l: int, s: int, g: CertifiedReal, max_prec: int) -> bool:
+def _growth_exceeds_one(t: int, l: int, s: int, g: CertifiedReal) -> bool:
     """Whether growth_factor(t, l, s) > 1, decided from its enclosure g.
 
     Only while g straddles 1 is it rebuilt, at twice its precision, up to
-    max_prec.
+    MAX_PREC_BITS.
     """
     while not (g.lower > 1 or g.upper < 1):
-        if g.prec_bits >= max_prec:
-            raise PrecisionExhaustedError(f"growth_factor({t},{l},{s}) vs 1", max_prec)
-        g = growth_factor(t, l, s, prec=min(2 * g.prec_bits, max_prec))
+        if g.prec_bits >= MAX_PREC_BITS:
+            raise PrecisionExhaustedError(f"growth_factor({t},{l},{s}) vs 1", MAX_PREC_BITS)
+        g = growth_factor(t, l, s, prec=min(2 * g.prec_bits, MAX_PREC_BITS))
     return g.lower > 1
 
 
-def smallest_admissible_s(
-    t: int,
-    l: int,
-    *,
-    prec: int = DEFAULT_PREC_BITS,
-    max_prec: int = MAX_PREC_BITS,
-) -> int:
+def smallest_admissible_s(t: int, l: int) -> int:
     """Least s >= max(density_threshold_s(t, l), l+1) with growth_factor > 1.
 
     Exists because the growth factor behaves like e^s over a polynomial.
     """
-    return bounds_report(t, l, find_admissible=True, prec=prec, max_prec=max_prec).admissible_s
+    return bounds_report(t, l, find_admissible=True).admissible_s
 
 
-def is_admissible(
-    t: int,
-    l: int,
-    s: int,
-    *,
-    prec: int = DEFAULT_PREC_BITS,
-    max_prec: int = MAX_PREC_BITS,
-) -> bool:
+def is_admissible(t: int, l: int, s: int) -> bool:
     """Whether the alphabet shape (t, l, s) has certified growth_factor > 1.
 
     Also requires s >= density_threshold_s(t, l) (the growth bound only
     applies from there on) and s > l (the shape itself needs it).
     """
     check_shape(t, l, s)
-    return bounds_report(t, l, s, prec=prec, max_prec=max_prec).admissible
+    return bounds_report(t, l, s).admissible
 
 
 def stirling_enclosure(n: int, *, prec: int = DEFAULT_PREC_BITS) -> tuple[CertifiedReal, CertifiedReal]:
@@ -480,7 +460,7 @@ def stirling_enclosure(n: int, *, prec: int = DEFAULT_PREC_BITS) -> tuple[Certif
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _check_precision(prec, prec)
+    _check_precision(prec)
     q = prec + _GUARD_BITS
     e_lo, e_hi = _e_interval(q)
     r_lo, r_hi = _sqrt_2pi_interval(n, q)
@@ -540,31 +520,32 @@ def bounds_report(
     *,
     find_admissible: bool = False,
     prec: int = DEFAULT_PREC_BITS,
-    max_prec: int = MAX_PREC_BITS,
 ) -> BoundsReport:
     """Evaluate every bound derivable from the given parameters.
 
     The only code that combines the density threshold with the certified
-    growth check; density_threshold_s runs first and checks the precision.
+    growth check.  prec sets the growth-factor enclosures, the printed one
+    and the first rung of each growth check.
     """
     check_shape(t, l)
     if m is not None and s is None:
         raise ValueError("m was given without s")
-    s_thr = density_threshold_s(t, l, prec=prec, max_prec=max_prec)
+    _check_precision(prec)
+    s_thr = density_threshold_s(t, l)
     m_thr = dens = growth = adm = vcu = ccl = None
     if s is not None:
         check_shape(t, l, s)
         m_thr = simplified_bound_threshold(s)
         dens = density_power(t, l, s)
         growth = growth_factor(t, l, s, prec=prec)
-        adm = s >= s_thr and _growth_exceeds_one(t, l, s, growth, max_prec)
+        adm = s >= s_thr and _growth_exceeds_one(t, l, s, growth)
         if m is not None:
             vcu = value_count_upper_bound(s, m)
             ccl = class_count_lower_bound(t, l, s, m)
     adm_s = None
     if find_admissible:
         adm_s = max(s_thr, l + 1)
-        while not _growth_exceeds_one(t, l, adm_s, growth_factor(t, l, adm_s, prec=prec), max_prec):
+        while not _growth_exceeds_one(t, l, adm_s, growth_factor(t, l, adm_s, prec=prec)):
             adm_s += 1
     return BoundsReport(
         t=t,

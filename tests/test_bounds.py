@@ -9,6 +9,7 @@ import math
 import random
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -84,11 +85,18 @@ class TestClassCountLowerBound:
                 exact = exact_class_count(ParikhVector.equipartitioned(k, m))
                 assert exact >= class_count_lower_bound(t, l, s, m)
 
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            class_count_lower_bound(2, 1, 3, 1)  # t > l
-        with pytest.raises(ValueError):
-            class_count_lower_bound(1, 2, 2, 1)  # l >= s
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, 1, 3, 1), "need 1 <= t <= l < s, got t=2, l=1, s=3"),
+            ((1, 2, 2, 1), "need 1 <= t <= l < s, got t=1, l=2, s=2"),
+            ((1, 1, 2, 0), "need m >= 1, got 0"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            class_count_lower_bound(*args)
+        assert str(exc.value) == message
 
 
 class TestSimplifiedBoundThreshold:
@@ -99,6 +107,19 @@ class TestSimplifiedBoundThreshold:
         assert simplified_bound_threshold(54) == 23799
         assert simplified_bound_threshold(156) == 84722
         assert simplified_bound_threshold(158) == 86005
+
+    def test_rejects_s_below_two(self):
+        with pytest.raises(ValueError, match="^need s >= 2, got 1$"):
+            simplified_bound_threshold(1)
+
+    @pytest.mark.parametrize("offset", [3, -3])
+    def test_float_start_only_proposes(self, monkeypatch, offset):
+        # Start 3 above or below the float proposal: the certified steps
+        # down or up must still reach the same least m.
+        expected = [simplified_bound_threshold(s) for s in range(2, 61)]
+        moved = SimpleNamespace(**{**vars(math), "ceil": lambda x: math.ceil(x) + offset})
+        monkeypatch.setattr(bounds, "math", moved)
+        assert [simplified_bound_threshold(s) for s in range(2, 61)] == expected
 
     def test_boundary_exactly(self):
         assert 32 * 99**344 > 100**344
@@ -278,8 +299,10 @@ class TestDensityThreshold:
             return Fraction(0), Fraction(1)
 
         monkeypatch.setattr(bounds, "_half_exp_neg_interval", never_decides)
+        monkeypatch.setattr(bounds, "DEFAULT_PREC_BITS", 64)
+        monkeypatch.setattr(bounds, "MAX_PREC_BITS", 256)
         with pytest.raises(PrecisionExhaustedError) as info:
-            density_threshold_s(1, 3, prec=64, max_prec=256)
+            density_threshold_s(1, 3)
         assert info.value.max_prec == 256
         assert info.value.description == "density_power(1,3,3) vs half-limit"
         assert precisions == [q + bounds._GUARD_BITS for q in (64, 128, 256)]
@@ -350,11 +373,17 @@ class TestSmallestAdmissible:
             return CertifiedReal(Fraction(1, 2), Fraction(2), prec)
 
         monkeypatch.setattr(bounds, "growth_factor", never_decides)
+        monkeypatch.setattr(bounds, "MAX_PREC_BITS", 256)
         with pytest.raises(PrecisionExhaustedError) as info:
-            is_admissible(1, 1, 5, prec=64, max_prec=256)
+            bounds_report(1, 1, 5, prec=64)
         assert info.value.max_prec == 256
         assert info.value.description == "growth_factor(1,1,5) vs 1"
         assert precisions == [64, 128, 256]
+        precisions.clear()  # is_admissible starts at bounds_report's default
+        with pytest.raises(PrecisionExhaustedError) as info:
+            is_admissible(1, 1, 5)
+        assert (info.value.max_prec, info.value.description) == (256, "growth_factor(1,1,5) vs 1")
+        assert precisions == [bounds.DEFAULT_PREC_BITS, 256]
 
 
 # FIRST_ADMISSIBLE_BY_GAP[l - t] is the least admissible s of the shape
@@ -381,16 +410,13 @@ class TestAdmissibilityGrid:
             return report(*args, **kwargs)
 
         monkeypatch.setattr(bounds, "bounds_report", counted)
-        assert is_admissible(1, 1, 4, prec=64)
-        assert smallest_admissible_s(1, 2, max_prec=256) == 8
-        assert calls == [
-            ((1, 1, 4), {"prec": 64, "max_prec": bounds.MAX_PREC_BITS}),
-            ((1, 2), {"find_admissible": True, "prec": bounds.DEFAULT_PREC_BITS, "max_prec": 256}),
-        ]
+        assert is_admissible(1, 1, 4)
+        assert smallest_admissible_s(1, 2) == 8
+        assert calls == [((1, 1, 4), {}), ((1, 2), {"find_admissible": True})]
 
 
 POSITIVE = "precision must be positive, got {}"
-ORDERED = "maximum precision {} is below the initial precision {}"
+CAPPED = "precision must be at most 4096 bits, got {}"
 
 
 class TestPrecisionRule:
@@ -399,16 +425,12 @@ class TestPrecisionRule:
     @pytest.mark.parametrize(
         "fn, args, kwargs, message",
         [
-            (density_threshold_s, (1, 1), {"prec": 0}, POSITIVE.format(0)),
             (bounds_report, (1, 1), {"prec": 0}, POSITIVE.format(0)),
             (growth_factor, (1, 1, 4), {"prec": 0}, POSITIVE.format(0)),
             (stirling_enclosure, (3,), {"prec": -5}, POSITIVE.format(-5)),
-            (is_admissible, (1, 1, 4), {"prec": 0}, POSITIVE.format(0)),
-            (smallest_admissible_s, (1, 1), {"prec": 0}, POSITIVE.format(0)),
-            (density_threshold_s, (1, 1), {"prec": 256, "max_prec": 64}, ORDERED.format(64, 256)),
-            (bounds_report, (1, 1, 4), {"prec": 256, "max_prec": 64}, ORDERED.format(64, 256)),
-            (is_admissible, (1, 1, 4), {"prec": 256, "max_prec": 64}, ORDERED.format(64, 256)),
-            (smallest_admissible_s, (1, 1), {"prec": 2, "max_prec": 1}, ORDERED.format(1, 2)),
+            (bounds_report, (1, 1, 4), {"prec": 4097}, CAPPED.format(4097)),
+            (growth_factor, (1, 1, 4), {"prec": 32768}, CAPPED.format(32768)),
+            (stirling_enclosure, (3,), {"prec": 4097}, CAPPED.format(4097)),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -417,10 +439,17 @@ class TestPrecisionRule:
             fn(*args, **kwargs)
         assert str(exc.value) == message
 
-    def test_one_bit_is_a_precision(self):
-        assert growth_factor(1, 1, 4, prec=1).prec_bits == 1
-        assert stirling_enclosure(3, prec=1)[0].prec_bits == 1
-        assert density_threshold_s(1, 23, prec=1) == 397
+    def test_the_cap_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(bounds, "MAX_PREC_BITS", 64)
+        with pytest.raises(ValueError, match="^precision must be at most 64 bits, got 65$"):
+            growth_factor(1, 1, 4, prec=65)
+
+    @pytest.mark.parametrize("prec", [1, bounds.MAX_PREC_BITS])
+    def test_both_ends_are_precisions(self, prec):
+        assert growth_factor(1, 1, 4, prec=prec).prec_bits == prec
+        assert stirling_enclosure(3, prec=prec)[0].prec_bits == prec
+        report = bounds_report(1, 23, 397, prec=prec)
+        assert (report.s_threshold, report.growth_factor.prec_bits) == (397, prec)
 
 
 class TestStirlingEnclosure:

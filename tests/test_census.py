@@ -191,26 +191,43 @@ class TestRunCensus:
         with pytest.raises(ClassTooLargeError):
             run_census(alpha(1, 2, 3, 4), parikh(4, 4, 4, 4), limit=1000)
 
-    def test_value_budget_exceeded(self):
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: census._value_table(alpha(1, 2), parikh(2, 2), value_budget=3),
+            lambda: reference._scan_shard(((1, 2), (2, 2), (), 0, 3)),
+        ],
+        ids=["kernel", "reference"],
+    )
+    def test_value_budget_exceeded(self, table):
         with pytest.raises(ValueBudgetExceededError) as info:
-            census._value_table(alpha(1, 2), parikh(2, 2), value_budget=3)
+            table()
         assert info.value.budget == 3
         assert info.value.distinct_values_seen > 3
         assert "not valid" in str(info.value)
 
-    def test_report_validates_spectrum_consistency(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "distinct_values, spectrum, message",
+        [
+            (1, ((1, 1),), "spectrum mass 1 != class size 2"),
+            (2, ((2, 1),), "spectrum support 1 != distinct values 2"),
+        ],
+        ids=["mass", "support"],
+    )
+    def test_report_validates_spectrum_consistency(self, distinct_values, spectrum, message):
+        with pytest.raises(ValueError) as exc:
             CensusReport(
                 alphabet=alpha(1, 2),
                 parikh=parikh(1, 1),
                 class_size=2,
-                distinct_values=1,
-                spectrum=((1, 1),),
+                distinct_values=distinct_values,
+                spectrum=spectrum,
                 max_multiplicity=1,
                 max_value=3,
                 min_value=3,
                 witnesses=(),
             )
+        assert str(exc.value) == message
 
     def test_json_document_shape(self):
         doc = run_census(alpha(1, 2), parikh(2, 2)).to_json_dict()

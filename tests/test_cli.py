@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from continuants import bounds, census, cli, exact_class_count, parse_word
-from continuants.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
+from continuants.cli import EXIT_LIMIT, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -254,6 +254,9 @@ class TestBoundsCommand:
         assert len(calls) == 2  # density_power and growth_factor
 
 
+ONE_MODE = "give exactly one of --m-range or --budget"
+
+
 class TestExploreCommand:
     def test_empty_result_exits_zero(self, capsys):
         code, out, _ = run(
@@ -302,11 +305,22 @@ class TestExploreCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: need a non-empty alphabet for the exact-multiplicity scan\n"
 
-    def test_requires_mode(self, capsys):
-        code, _, err = run(capsys, "explore", "--alphabet", "1,2")
-        assert code == EXIT_USAGE
-        code, _, err = run(capsys, "explore", "--alphabet", "1,2", "--m-range", "1..2", "--budget", "3")
-        assert code == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alphabet", "1,2"], ONE_MODE),
+            (["--alphabet", "1,2", "--m-range", "1..2", "--budget", "3"], ONE_MODE),
+            (
+                ["--alphabet", "1,2", "--lacunary", "1,1,3,1", "--budget", "3"],
+                "give either --alphabet or --lacunary, not both",
+            ),
+            (["--budget", "3"], "an alphabet is required (--alphabet or --lacunary)"),
+            (["--alphabet", "1,2", "--m-range", "1-2"], "invalid m-range '1-2': expected A..B"),
+        ],
+        ids=["no-mode", "both-modes", "both-alphabets", "no-alphabet", "m-range-form"],
+    )
+    def test_requires_mode(self, capsys, flags, message):
+        assert run(capsys, "explore", *flags) == (EXIT_USAGE, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("m_range", ["3..1", "0..2"])
     @pytest.mark.parametrize("target", [[], ["--target-mu", "2"]], ids=["scan", "target-mu"])
@@ -402,8 +416,8 @@ class TestLongFields:
                 f"need 1 <= m_start <= m_end, got {PAST_LIMIT}..1",
             ),
             (
-                ["--alphabet", "1,2", "--budget", "1", "--precision", f"{PAST_LIMIT}:1"],
-                f"maximum precision 1 is below the initial precision {PAST_LIMIT}",
+                ["--alphabet", "1,2", "--budget", "1", "--precision", PAST_LIMIT],
+                f"precision must be at most 4096 bits, got {PAST_LIMIT}",
             ),
         ],
         ids=["lacunary-l", "lacunary-t", "m-range", "precision"],
@@ -573,15 +587,22 @@ class TestGlobalFlags:
         if name == "CONTINUANTS_FORMAT":
             assert all(fmt in err for fmt in ("plain", "json", "csv"))
 
-    def test_precision_flag_forms(self, capsys):
-        code, _, _ = run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3", "--precision", "64")
-        assert code == EXIT_OK
-        code, _, _ = run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3", "--precision", "64:512")
+    @pytest.mark.parametrize("bits", ["1", "64", "4096"])
+    def test_precision_flag_forms(self, capsys, bits):
+        code, _, _ = run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3", "--precision", bits)
         assert code == EXIT_OK
 
-    def test_bad_precision_rejected(self, capsys):
-        code, _, err = run(capsys, "bounds", "--t", "1", "--l", "1", "--precision", "512:64")
-        assert code == EXIT_USAGE
+    def test_precision_exhausted_exits_4(self, capsys, monkeypatch):
+        def never_decides(t, l, s, *, prec):  # [1/2, 2] straddles 1 at every precision
+            return bounds.CertifiedReal(Fraction(1, 2), Fraction(2), prec)
+
+        monkeypatch.setattr(bounds, "growth_factor", never_decides)
+        monkeypatch.setattr(bounds, "MAX_PREC_BITS", 256)
+        assert run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "5", "--precision", "64") == (
+            EXIT_PRECISION,
+            "",
+            "error: growth_factor(1,1,5) vs 1: enclosure still straddles the threshold at 256 bits\n",
+        )
 
     def test_workers_must_be_positive(self, capsys):
         code, out, err = run(capsys, "continuant", "1,2", "--workers", "0")
@@ -658,13 +679,13 @@ class TestSettings:
         [
             ({}, ["--limit", "0"], "enumeration limit must be positive, got 0"),
             ({}, ["--precision", "0"], "precision must be positive, got 0"),
-            ({}, ["--precision", "512:64"], "maximum precision 64 is below the initial precision 512"),
-            ({}, ["--precision", "64:x"], "invalid precision: 'x' is not an integer"),
+            ({}, ["--precision", "4097"], "precision must be at most 4096 bits, got 4097"),
+            ({}, ["--precision", "64:512"], "invalid precision: '64:512' is not an integer"),
             ({}, ["--workers", "0", "--limit", "0"], "workers must be positive, got 0"),
             ({}, ["--limit", "0", "--precision", "0"], "enumeration limit must be positive, got 0"),
             ({"LIMIT": "0"}, [], "enumeration limit must be positive, got 0"),
             ({"FORMAT": ""}, [], "invalid CONTINUANTS_FORMAT: '' is not one of plain, json, csv"),
-            ({"PRECISION": "1:2:3"}, [], "invalid CONTINUANTS_PRECISION: '2:3' is not an integer"),
+            ({"PRECISION": "256:1024"}, [], "invalid CONTINUANTS_PRECISION: '256:1024' is not an integer"),
             ({"PRECISION": ""}, [], "invalid CONTINUANTS_PRECISION: '' is not an integer"),
             ({"FORMAT": "yaml", "LIMIT": "x"}, [], "invalid CONTINUANTS_LIMIT: 'x' is not an integer"),
             (
@@ -701,16 +722,16 @@ class TestSettings:
     @pytest.mark.parametrize(
         "env, flags, expected",
         [
-            ({}, [], (128, 4096)),
-            ({}, ["--precision", "256"], (256, 4096)),
-            ({"PRECISION": "256:1024"}, [], (256, 1024)),
-            ({"PRECISION": "256:1024"}, ["--precision", "64"], (64, 4096)),
+            ({}, [], 128),
+            ({}, ["--precision", "256"], 256),
+            ({"PRECISION": "1024"}, [], 1024),
+            ({"PRECISION": "1024"}, ["--precision", "64"], 64),
         ],
-        ids=["default", "flag-init", "env-init-max", "flag-beats-env"],
+        ids=["default", "flag", "env", "flag-beats-env"],
     )
     def test_precision(self, capsys, monkeypatch, env, flags, expected):
         for name, value in env.items():
             monkeypatch.setenv("CONTINUANTS_" + name, value)
         seen = self.spy(monkeypatch, bounds, "bounds_report")
         assert run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3", *flags)[0] == EXIT_OK
-        assert (seen["prec"], seen["max_prec"]) == expected
+        assert seen == {"find_admissible": False, "prec": expected}

@@ -100,11 +100,12 @@ class TestSplitIdentity:
             lhs, rhs = split_identity(w, j)
             assert lhs == rhs
 
-    def test_cut_out_of_range(self):
-        with pytest.raises(IndexError):
-            split_identity((1, 2), 2)
-        with pytest.raises(IndexError):
-            split_identity((1, 2), 0)
+    @pytest.mark.parametrize("fn", [split_identity, doubling_bound_check])
+    def test_cut_out_of_range(self, fn):
+        for j in (2, 0):
+            with pytest.raises(IndexError) as exc:
+                fn((1, 2), j)
+            assert str(exc.value) == f"cut position must satisfy 1 <= j <= n-1, got j={j}, n=2"
 
 
 class TestDoublingBound:

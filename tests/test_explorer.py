@@ -147,6 +147,15 @@ class TestExactMultiplicityScan:
     def test_empty_result_is_valid(self):
         assert exact_multiplicity_scan(alpha(1, 2), 2, 5).records == ()
 
+    @pytest.mark.parametrize(
+        "target_mu, budget, message",
+        [(0, 10, "need target_mu >= 1, got 0"), (2, -1, "need budget >= 0, got -1")],
+    )
+    def test_rejects_bad_arguments(self, target_mu, budget, message):
+        with pytest.raises(ValueError) as exc:
+            exact_multiplicity_scan(alpha(1, 2), target_mu, budget)
+        assert str(exc.value) == message
+
     def test_empty_alphabet_rejected(self):
         # No Parikh vector of n >= 1 has zero letters, so the scan could not end.
         with pytest.raises(ValueError, match="non-empty alphabet"):
