@@ -15,9 +15,10 @@ come from series with rational truncation-error brackets, square roots use
 integer isqrt with directed rounding, and all other arithmetic is exact on
 Fractions.  A threshold comparison is decided only when the enclosure
 excludes the threshold; otherwise precision doubles, up to MAX_PREC_BITS,
-and failing that the comparison raises instead of guessing.  Only the
-printed enclosures take a precision, checked by _check_precision
-(1 <= prec <= MAX_PREC_BITS, which the CLI applies too).  Boundary
+and failing that the comparison raises instead of guessing.  The printed
+enclosures are taken at DEFAULT_PREC_BITS; only growth_factor, which the
+growth check climbs through, takes a precision, checked by
+_check_precision (1 <= prec <= MAX_PREC_BITS).  Boundary
 misclassification would silently change which alphabets count as
 admissible, so nothing here ever rounds to nearest.
 
@@ -447,12 +448,11 @@ def is_admissible(t: int, l: int, s: int) -> bool:
     Also requires s >= density_threshold_s(t, l) (the growth bound only
     applies from there on) and s > l (the shape itself needs it).
     """
-    check_shape(t, l, s)
     return bounds_report(t, l, s).admissible
 
 
-def stirling_enclosure(n: int, *, prec: int = DEFAULT_PREC_BITS) -> tuple[CertifiedReal, CertifiedReal]:
-    """Certified (lower, upper) factorial bounds around n!.
+def stirling_enclosure(n: int) -> tuple[CertifiedReal, CertifiedReal]:
+    """Certified (lower, upper) factorial bounds around n!, at DEFAULT_PREC_BITS.
 
     lower encloses e^{-n} n^n sqrt(2 pi n) and upper encloses 12/11 times
     that; the exact factorial lies strictly between the two enclosed
@@ -460,7 +460,7 @@ def stirling_enclosure(n: int, *, prec: int = DEFAULT_PREC_BITS) -> tuple[Certif
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _check_precision(prec)
+    prec = DEFAULT_PREC_BITS
     q = prec + _GUARD_BITS
     e_lo, e_hi = _e_interval(q)
     r_lo, r_hi = _sqrt_2pi_interval(n, q)
@@ -513,39 +513,33 @@ class BoundsReport:
 
 
 def bounds_report(
-    t: int,
-    l: int,
-    s: int | None = None,
-    m: int | None = None,
-    *,
-    find_admissible: bool = False,
-    prec: int = DEFAULT_PREC_BITS,
+    t: int, l: int, s: int | None = None, m: int | None = None, *, find_admissible: bool = False
 ) -> BoundsReport:
     """Evaluate every bound derivable from the given parameters.
 
     The only code that combines the density threshold with the certified
-    growth check.  prec sets the growth-factor enclosures, the printed one
-    and the first rung of each growth check.
+    growth check.  The whole input is checked, the integer bounds included,
+    before the density scan.  The printed growth-factor enclosure and the
+    first rung of each growth check are at DEFAULT_PREC_BITS.
     """
-    check_shape(t, l)
+    check_shape(t, l, s)
     if m is not None and s is None:
         raise ValueError("m was given without s")
-    _check_precision(prec)
+    vcu = ccl = None
+    if m is not None:
+        vcu = value_count_upper_bound(s, m)
+        ccl = class_count_lower_bound(t, l, s, m)
     s_thr = density_threshold_s(t, l)
-    m_thr = dens = growth = adm = vcu = ccl = None
+    m_thr = dens = growth = adm = None
     if s is not None:
-        check_shape(t, l, s)
         m_thr = simplified_bound_threshold(s)
         dens = density_power(t, l, s)
-        growth = growth_factor(t, l, s, prec=prec)
+        growth = growth_factor(t, l, s, prec=DEFAULT_PREC_BITS)
         adm = s >= s_thr and _growth_exceeds_one(t, l, s, growth)
-        if m is not None:
-            vcu = value_count_upper_bound(s, m)
-            ccl = class_count_lower_bound(t, l, s, m)
     adm_s = None
     if find_admissible:
         adm_s = max(s_thr, l + 1)
-        while not _growth_exceeds_one(t, l, adm_s, growth_factor(t, l, adm_s, prec=prec)):
+        while not _growth_exceeds_one(t, l, adm_s, growth_factor(t, l, adm_s, prec=DEFAULT_PREC_BITS)):
             adm_s += 1
     return BoundsReport(
         t=t,

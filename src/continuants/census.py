@@ -17,14 +17,15 @@ its scan ``_scan_shard`` included, does not, and no function here names
 anything of it, so the oracles the tests compare it with stay
 independent of it.  Values are keyed by exact integer equality, and no
 path starts a process.  The class-size gate ``core._class_size`` runs
-first.  The value budget is checked after every row, so the table holds
-at most the budget plus one row, and the kernel raises
-``core.ValueBudgetExceededError`` with its own counters.  Witness words
-come from a second pass over the same tables; when only some values are
-picked, it skips every row whose exact value interval holds none of
-them.  The tables are in a closed-form order, so ``_arrangement`` spells
-the word at a table index, and a word is spelled only where a picked
-value lies.
+first, and the kernel's class count must equal the size it returns, or
+``_value_table`` raises ``RuntimeError``.  The value budget is checked
+after every row, so the table holds at most the budget plus one row, and
+the kernel raises ``core.ValueBudgetExceededError`` with its own
+counters.  Witness words come from a second pass over the same tables;
+when only some values are picked, it skips every row whose exact value
+interval holds none of them.  The tables are in a closed-form order, so
+``_arrangement`` spells the word at a table index, and a word is spelled
+only where a picked value lies.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def _value_table(
     value (every row when all values are picked) and spells a word only
     where a picked value lies.
     """
-    _class_size(alphabet, parikh, limit)
+    size = _class_size(alphabet, parikh, limit)
     letters, counts = alphabet.letters, parikh.counts
     tables = _half_tables(letters, counts, sum(counts) // 2)
     table: Counter = Counter()
@@ -202,6 +203,8 @@ def _value_table(
         classes += len(values)
         if len(table) > value_budget:
             raise ValueBudgetExceededError(len(table), value_budget, classes)
+    if classes != size:  # a reversal-bookkeeping fault in _rows must not print a wrong N
+        raise RuntimeError(f"kernel evaluated {int_text(classes)} classes, but the class has {int_text(size)}")
     if not words_per_value:
         return classes, table, {}
 

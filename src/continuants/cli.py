@@ -8,15 +8,15 @@ Every subcommand prints machine-readable output in one of three formats
     3  enumeration limit or value-table budget exceeded
     4  certified-comparison precision exhausted
 
-The global settings --limit, --precision (BITS, 1 to 4096) and --format
-each come from the flag, else from the environment variable CONTINUANTS_LIMIT,
-CONTINUANTS_PRECISION or CONTINUANTS_FORMAT, else from the library default
-(10^8 classes, 128 bits, plain).  main() resolves them once, before the
-command runs, and checks each setting once.  --workers must be a positive
+The global settings --limit and --format each come from the flag, else
+from the environment variable CONTINUANTS_LIMIT or CONTINUANTS_FORMAT, else
+from the library default (10^8 classes, plain).  main() resolves them once,
+before the command runs, and checks each setting once.  The library picks
+the precision of every certified enclosure.  --workers must be a positive
 integer and has no effect: every command runs in one process.  It is still
 accepted so that existing command lines keep working.  Integer fields that
-are not argparse-typed (--lacunary, --m-range, the precision bits and
-CONTINUANTS_LIMIT) parse at any length.
+are not argparse-typed (--lacunary, --m-range and CONTINUANTS_LIMIT) parse
+at any length.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, help="accepted for compatibility; has no effect"
     )
     shared.add_argument("--limit", type=int, default=None, help="enumeration limit (reversal classes)")
-    shared.add_argument("--precision", default=None, help="certified-real precision bits (1 to 4096)")
     shared.add_argument("--format", choices=FORMATS, default=None, help="output format")
 
     parser = argparse.ArgumentParser(prog="continuants", description=__doc__.splitlines()[0])
@@ -128,31 +127,24 @@ def _add_class_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:
-    """Set args.limit, args.precision (bits) and args.format from the flag,
-    else the CONTINUANTS_ variable, else the library default.
+    """Set args.limit and args.format from the flag, else the CONTINUANTS_
+    variable, else the library default.
 
     Each setting is checked once, in this order: the CONTINUANTS_LIMIT text,
-    the format, the precision text, then --workers, the limit and the
-    precision values.
+    the format, then --workers and the limit value.
     """
     if args.limit is None:
         limit = _env("LIMIT")
         args.limit = DEFAULT_CLASS_LIMIT if limit is None else _parse_int(limit, ENV_PREFIX + "LIMIT")
-    precision, what = args.precision, "precision"
-    if precision is None:
-        precision, what = _env("PRECISION"), ENV_PREFIX + "PRECISION"
     if args.format is None:  # argparse checks --format
         fmt = _env("FORMAT")
         if fmt is not None and fmt not in FORMATS:
             raise ValueError(f"invalid {ENV_PREFIX}FORMAT: {fmt!r} is not one of {', '.join(FORMATS)}")
         args.format = "plain" if fmt is None else fmt
-    prec = bounds_mod.DEFAULT_PREC_BITS if precision is None else _parse_int(precision, what)
     if args.workers is not None and args.workers < 1:
         raise ValueError(f"workers must be positive, got {args.workers}")
     if args.limit < 1:
         raise ValueError(f"enumeration limit must be positive, got {args.limit}")
-    bounds_mod._check_precision(prec)
-    args.precision = prec
 
 
 def _parse_alphabet(args: argparse.Namespace, parikh: ParikhVector | None = None) -> Alphabet:
@@ -284,9 +276,7 @@ def _cmd_census(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> _Output:
-    report = bounds_mod.bounds_report(
-        args.t, args.l, args.s, args.m, find_admissible=args.find_admissible, prec=args.precision
-    )
+    report = bounds_mod.bounds_report(args.t, args.l, args.s, args.m, find_admissible=args.find_admissible)
     doc = report.to_json_dict()
 
     def plain():

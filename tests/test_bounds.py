@@ -5,6 +5,7 @@ independent oracle for every transcendental quantity; the implementation
 itself never touches it.
 """
 
+import inspect
 import math
 import random
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
@@ -375,15 +376,16 @@ class TestSmallestAdmissible:
         monkeypatch.setattr(bounds, "growth_factor", never_decides)
         monkeypatch.setattr(bounds, "MAX_PREC_BITS", 256)
         with pytest.raises(PrecisionExhaustedError) as info:
-            bounds_report(1, 1, 5, prec=64)
+            bounds_report(1, 1, 5)
         assert info.value.max_prec == 256
         assert info.value.description == "growth_factor(1,1,5) vs 1"
-        assert precisions == [64, 128, 256]
-        precisions.clear()  # is_admissible starts at bounds_report's default
+        assert precisions == [128, 256]
+        precisions.clear()  # the first rung is DEFAULT_PREC_BITS, read at call time
+        monkeypatch.setattr(bounds, "DEFAULT_PREC_BITS", 64)
         with pytest.raises(PrecisionExhaustedError) as info:
             is_admissible(1, 1, 5)
         assert (info.value.max_prec, info.value.description) == (256, "growth_factor(1,1,5) vs 1")
-        assert precisions == [bounds.DEFAULT_PREC_BITS, 256]
+        assert precisions == [64, 128, 256]
 
 
 # FIRST_ADMISSIBLE_BY_GAP[l - t] is the least admissible s of the shape
@@ -420,24 +422,21 @@ CAPPED = "precision must be at most 4096 bits, got {}"
 
 
 class TestPrecisionRule:
-    """Every function that takes a precision refuses what --precision refuses, with its message."""
+    """growth_factor, the one function that takes a precision, refuses one it cannot use."""
 
     @pytest.mark.parametrize(
-        "fn, args, kwargs, message",
-        [
-            (bounds_report, (1, 1), {"prec": 0}, POSITIVE.format(0)),
-            (growth_factor, (1, 1, 4), {"prec": 0}, POSITIVE.format(0)),
-            (stirling_enclosure, (3,), {"prec": -5}, POSITIVE.format(-5)),
-            (bounds_report, (1, 1, 4), {"prec": 4097}, CAPPED.format(4097)),
-            (growth_factor, (1, 1, 4), {"prec": 32768}, CAPPED.format(32768)),
-            (stirling_enclosure, (3,), {"prec": 4097}, CAPPED.format(4097)),
-        ],
-        ids=lambda v: getattr(v, "__name__", None),
+        "prec, message", [(0, POSITIVE.format(0)), (-5, POSITIVE.format(-5)), (32768, CAPPED.format(32768))]
     )
-    def test_refused_with_the_cli_message(self, fn, args, kwargs, message):
+    def test_refused_with_its_message(self, prec, message):
         with pytest.raises(ValueError) as exc:
-            fn(*args, **kwargs)
+            growth_factor(1, 1, 4, prec=prec)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "fn", [bounds_report, stirling_enclosure, density_threshold_s, is_admissible, smallest_admissible_s]
+    )
+    def test_takes_no_precision(self, fn):
+        assert "prec" not in inspect.signature(fn).parameters
 
     def test_the_cap_is_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(bounds, "MAX_PREC_BITS", 64)
@@ -447,9 +446,6 @@ class TestPrecisionRule:
     @pytest.mark.parametrize("prec", [1, bounds.MAX_PREC_BITS])
     def test_both_ends_are_precisions(self, prec):
         assert growth_factor(1, 1, 4, prec=prec).prec_bits == prec
-        assert stirling_enclosure(3, prec=prec)[0].prec_bits == prec
-        report = bounds_report(1, 23, 397, prec=prec)
-        assert (report.s_threshold, report.growth_factor.prec_bits) == (397, prec)
 
 
 class TestStirlingEnclosure:
@@ -501,11 +497,12 @@ class TestExactEndpoints:
         assert g.prec_bits == prec
 
     @pytest.mark.parametrize("n,prec", [(1, 8), (2, 64), (5, 128), (10, 32)])
-    def test_stirling_enclosure(self, n, prec):
+    def test_stirling_enclosure(self, monkeypatch, n, prec):
+        monkeypatch.setattr(bounds, "DEFAULT_PREC_BITS", prec)  # read at call time
         q = prec + bounds._GUARD_BITS
         e_lo, e_hi = bounds._e_interval(q)
         r_lo, r_hi = sqrt_2pi_by_hand(n, q)
-        lo, hi = stirling_enclosure(n, prec=prec)
+        lo, hi = stirling_enclosure(n)
         assert (lo.lower, lo.upper) == (r_lo * n**n / e_hi**n, r_hi * n**n / e_lo**n)
         assert (hi.lower, hi.upper) == (lo.lower * 12 / 11, lo.upper * 12 / 11)
         assert lo.prec_bits == hi.prec_bits == prec
@@ -732,6 +729,20 @@ class TestBoundsReport:
         assert bounds_report(1, 1, 5, 2) == expected
         assert calls == [((1, 1, 5), {"prec": bounds.DEFAULT_PREC_BITS})]
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1, 400, 5), "need 1 <= t <= l < s, got t=1, l=400, s=5"),
+            ((1, 300, 400, 0), "need m >= 1, got 0"),
+        ],
+    )
+    def test_input_checked_before_the_density_scan(self, monkeypatch, args, message):
+        calls = []
+        monkeypatch.setattr(bounds, "density_threshold_s", lambda *a: calls.append(a))
+        with pytest.raises(ValueError) as exc:
+            bounds_report(*args)
+        assert (str(exc.value), calls) == (message, [])
+
 
 class TestShapeRule:
     """One shape rule: every entry point that meets a bad shape raises its one message."""
@@ -743,6 +754,7 @@ class TestShapeRule:
             ((2, 3, 1), "need 1 <= t <= l < s, got t=2, l=3, s=1"),
             ((0, 1), "need 1 <= t <= l, got t=0, l=1"),
             ((3, 2), "need 1 <= t <= l, got t=3, l=2"),
+            ((3, 2, 5), "need 1 <= t <= l < s, got t=3, l=2, s=5"),
         ],
     )
     def test_every_entry_point_raises_the_same_message(self, shape, message):

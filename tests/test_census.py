@@ -414,6 +414,15 @@ class TestKernels:
         assert (err.distinct_values_seen, err.classes_evaluated) == (len(seen), sum(map(len, rows)))
         assert err.distinct_values_seen <= 20_000 + max(map(len, rows))
 
+    def test_class_count_is_checked_against_the_gate(self, monkeypatch):
+        # A kernel that evaluates a different number of classes than the
+        # class-size gate counted must not print a wrong N.
+        size = exact_class_count(parikh(2, 2, 1))
+        monkeypatch.setattr(census, "_class_size", lambda *a: size + 1)
+        message = f"kernel evaluated {size} classes, but the class has {size + 1}"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            run_census(alpha(1, 2, 3), parikh(2, 2, 1))
+
     def test_witness_pass_skips_rows_without_a_picked_value(self):
         # A census-bigint class at seed 0: its 30 picked values sit in a few of 890 rows.
         letters, counts = (632, 926, 976, 100782), (3, 4, 1, 4)

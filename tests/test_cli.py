@@ -215,9 +215,15 @@ class TestBoundsCommand:
         _, out, _ = run(capsys, "bounds", "--t", "1", "--l", "2", "--s", "3")
         assert "density_power: 1/16 (exact)" in out
 
-    def test_bad_shape(self, capsys):
-        code, _, err = run(capsys, "bounds", "--t", "2", "--l", "1")
-        assert code == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--t", "2", "--l", "1"], "need 1 <= t <= l, got t=2, l=1"),
+            (["--t", "3", "--l", "2", "--s", "5"], "need 1 <= t <= l < s, got t=3, l=2, s=5"),
+        ],
+    )
+    def test_bad_shape(self, capsys, flags, message):
+        assert run(capsys, "bounds", *flags) == (EXIT_USAGE, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("s", [1369, 1370])
     def test_every_digit_of_an_exact_density(self, capsys, monkeypatch, s):
@@ -392,7 +398,7 @@ class TestInputDigits:
 
 
 class TestLongFields:
-    """--lacunary, --m-range, --precision and CONTINUANTS_LIMIT parse at any length."""
+    """--lacunary, --m-range and CONTINUANTS_LIMIT parse at any length."""
 
     def test_lacunary_prints_what_the_same_alphabet_prints(self, capsys):
         high = PAST_LIMIT[:-1] + "1"
@@ -415,12 +421,8 @@ class TestLongFields:
                 ["--alphabet", "1,2", "--m-range", f"{PAST_LIMIT}..1"],
                 f"need 1 <= m_start <= m_end, got {PAST_LIMIT}..1",
             ),
-            (
-                ["--alphabet", "1,2", "--budget", "1", "--precision", PAST_LIMIT],
-                f"precision must be at most 4096 bits, got {PAST_LIMIT}",
-            ),
         ],
-        ids=["lacunary-l", "lacunary-t", "m-range", "precision"],
+        ids=["lacunary-l", "lacunary-t", "m-range"],
     )
     def test_rule_names_the_long_field(self, capsys, flags, message):
         assert run(capsys, "explore", *flags) == (EXIT_USAGE, "", f"error: {message}\n")
@@ -575,9 +577,7 @@ class TestGlobalFlags:
         assert code == EXIT_LIMIT
         assert "2" in err
 
-    @pytest.mark.parametrize(
-        "name", ["CONTINUANTS_LIMIT", "CONTINUANTS_PRECISION", "CONTINUANTS_FORMAT"]
-    )
+    @pytest.mark.parametrize("name", ["CONTINUANTS_LIMIT", "CONTINUANTS_FORMAT"])
     def test_bad_env_value_names_the_variable(self, capsys, monkeypatch, name):
         monkeypatch.setenv(name, "abc")
         code, out, err = run(capsys, "continuant", "1,2")
@@ -587,22 +587,48 @@ class TestGlobalFlags:
         if name == "CONTINUANTS_FORMAT":
             assert all(fmt in err for fmt in ("plain", "json", "csv"))
 
-    @pytest.mark.parametrize("bits", ["1", "64", "4096"])
-    def test_precision_flag_forms(self, capsys, bits):
-        code, _, _ = run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3", "--precision", bits)
-        assert code == EXIT_OK
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["continuant", "2,1,1,2"],
+            ["wmax", "--alphabet", "1,2", "--parikh", "2,2"],
+            ["census", "--alphabet", "1,2", "--parikh", "2,2"],
+            ["bounds", "--t", "1", "--l", "1"],
+            ["explore", "--alphabet", "1,2", "--budget", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_precision_flag_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--precision", "64"])
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("usage: continuants")
+        assert "unrecognized arguments: --precision 64" in captured.err
+
+    def test_precision_variable_is_not_read(self, capsys, monkeypatch):
+        argv = ["bounds", "--t", "1", "--l", "1", "--s", "5", "--m", "2", "--format", "json"]
+        monkeypatch.delenv("CONTINUANTS_PRECISION", raising=False)
+        expected = run(capsys, *argv)
+        monkeypatch.setenv("CONTINUANTS_PRECISION", "abc")
+        assert run(capsys, *argv) == expected
+        assert expected[0] == EXIT_OK
 
     def test_precision_exhausted_exits_4(self, capsys, monkeypatch):
+        precisions = []
+
         def never_decides(t, l, s, *, prec):  # [1/2, 2] straddles 1 at every precision
+            precisions.append(prec)
             return bounds.CertifiedReal(Fraction(1, 2), Fraction(2), prec)
 
         monkeypatch.setattr(bounds, "growth_factor", never_decides)
         monkeypatch.setattr(bounds, "MAX_PREC_BITS", 256)
-        assert run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "5", "--precision", "64") == (
+        assert run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "5") == (
             EXIT_PRECISION,
             "",
             "error: growth_factor(1,1,5) vs 1: enclosure still straddles the threshold at 256 bits\n",
         )
+        assert precisions == [128, 256]
 
     def test_workers_must_be_positive(self, capsys):
         code, out, err = run(capsys, "continuant", "1,2", "--workers", "0")
@@ -666,31 +692,25 @@ class TestRepeatedCalls:
 
 
 class TestSettings:
-    """--limit, --precision and --format come from the flag, else the CONTINUANTS_
-    variable, else the library default; each is checked once, in a fixed order."""
+    """--limit and --format come from the flag, else the CONTINUANTS_ variable,
+    else the library default; each is checked once, in a fixed order."""
 
     @pytest.fixture(autouse=True)
     def clean_environment(self, monkeypatch):
-        for name in ("LIMIT", "PRECISION", "FORMAT"):
+        for name in ("LIMIT", "FORMAT"):
             monkeypatch.delenv("CONTINUANTS_" + name, raising=False)
 
     @pytest.mark.parametrize(
         "env, flags, message",
         [
             ({}, ["--limit", "0"], "enumeration limit must be positive, got 0"),
-            ({}, ["--precision", "0"], "precision must be positive, got 0"),
-            ({}, ["--precision", "4097"], "precision must be at most 4096 bits, got 4097"),
-            ({}, ["--precision", "64:512"], "invalid precision: '64:512' is not an integer"),
             ({}, ["--workers", "0", "--limit", "0"], "workers must be positive, got 0"),
-            ({}, ["--limit", "0", "--precision", "0"], "enumeration limit must be positive, got 0"),
             ({"LIMIT": "0"}, [], "enumeration limit must be positive, got 0"),
             ({"FORMAT": ""}, [], "invalid CONTINUANTS_FORMAT: '' is not one of plain, json, csv"),
-            ({"PRECISION": "256:1024"}, [], "invalid CONTINUANTS_PRECISION: '256:1024' is not an integer"),
-            ({"PRECISION": ""}, [], "invalid CONTINUANTS_PRECISION: '' is not an integer"),
             ({"FORMAT": "yaml", "LIMIT": "x"}, [], "invalid CONTINUANTS_LIMIT: 'x' is not an integer"),
             (
                 {"FORMAT": "yaml"},
-                ["--precision", "x"],
+                ["--workers", "0"],
                 "invalid CONTINUANTS_FORMAT: 'yaml' is not one of plain, json, csv",
             ),
         ],
@@ -719,19 +739,7 @@ class TestSettings:
         assert run(capsys, "census", "--alphabet", "1,2", "--parikh", "2,2")[0] == EXIT_OK
         assert seen["limit"] == 10**8
 
-    @pytest.mark.parametrize(
-        "env, flags, expected",
-        [
-            ({}, [], 128),
-            ({}, ["--precision", "256"], 256),
-            ({"PRECISION": "1024"}, [], 1024),
-            ({"PRECISION": "1024"}, ["--precision", "64"], 64),
-        ],
-        ids=["default", "flag", "env", "flag-beats-env"],
-    )
-    def test_precision(self, capsys, monkeypatch, env, flags, expected):
-        for name, value in env.items():
-            monkeypatch.setenv("CONTINUANTS_" + name, value)
+    def test_bounds_takes_no_setting(self, capsys, monkeypatch):
         seen = self.spy(monkeypatch, bounds, "bounds_report")
-        assert run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3", *flags)[0] == EXIT_OK
-        assert seen == {"find_admissible": False, "prec": expected}
+        assert run(capsys, "bounds", "--t", "1", "--l", "1", "--s", "3")[0] == EXIT_OK
+        assert seen == {"find_admissible": False}
