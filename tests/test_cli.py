@@ -721,6 +721,18 @@ class TestSettings:
         expected = (EXIT_USAGE, "", f"error: {message}\n")
         assert run(capsys, "bounds", "--t", "1", "--l", "1", *flags) == expected
 
+    @pytest.mark.parametrize(
+        "name, value, flags",
+        [("LIMIT", "x", ["--limit", "5"]), ("FORMAT", "yaml", ["--format", "json"])],
+        ids=["limit", "format"],
+    )
+    def test_flag_skips_a_bad_variable(self, capsys, monkeypatch, name, value, flags):
+        argv = ["bounds", "--t", "1", "--l", "1", *flags]
+        expected = run(capsys, *argv)
+        monkeypatch.setenv("CONTINUANTS_" + name, value)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == EXIT_OK
+
     @staticmethod
     def spy(monkeypatch, module, name):
         """Record the keywords main() passes to module.name, which still runs."""
