@@ -84,6 +84,13 @@ class PrecisionExhaustedError(Exception):
         self.max_prec = max_prec
 
 
+def _next_prec(q: int, description: str) -> int:
+    """The rung after q of a doubling ladder; at MAX_PREC_BITS, raise for ``description``."""
+    if q >= MAX_PREC_BITS:
+        raise PrecisionExhaustedError(description, MAX_PREC_BITS)
+    return min(2 * q, MAX_PREC_BITS)
+
+
 # ---------------------------------------------------------------------------
 # Rational enclosures.  Each quantity is a (lo, hi) pair of exact Fractions,
 # lo <= hi.  The constants e and pi are rounded outward to q-bit dyadics and
@@ -336,6 +343,11 @@ def simplified_bound_threshold(s: int) -> int:
 # Density power, growth factor, thresholds
 # ---------------------------------------------------------------------------
 
+def _density(c: int, s: int) -> Fraction:
+    """((s-c+1)/(s+1))^{s+1}: density_power(t, l, s) for c = l-t+1."""
+    return Fraction(s - c + 1, s + 1) ** (s + 1)
+
+
 def density_power(t: int, l: int, s: int) -> CertifiedReal:
     """((s-l+t)/(s+1))^{s+1} as an exact rational enclosure (radius 0).
 
@@ -344,7 +356,7 @@ def density_power(t: int, l: int, s: int) -> CertifiedReal:
     check_shape(t, l)
     if s < l - t:
         raise ValueError(f"density base is negative for s={s} < l-t={l - t}")
-    f = Fraction(s - l + t, s + 1) ** (s + 1)
+    f = _density(l - t + 1, s)
     return CertifiedReal(f, f, 0)
 
 
@@ -390,18 +402,16 @@ def density_threshold_s(t: int, l: int) -> int:
     c = l - t + 1
     s, q = _density_start(c), DEFAULT_PREC_BITS
     thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
-    while s > c and Fraction(s - c, s) ** s >= thr_lo:  # density_power(t, l, s - 1)
+    while s > c and _density(c, s - 1) >= thr_lo:
         s -= 1
     while True:
-        f = Fraction(s - c + 1, s + 1) ** (s + 1)  # density_power(t, l, s)
+        f = _density(c, s)
         if f >= thr_hi:
             return s
         if f < thr_lo:
             s += 1
-        elif q >= MAX_PREC_BITS:
-            raise PrecisionExhaustedError(f"density_power({t},{l},{s}) vs half-limit", MAX_PREC_BITS)
         else:
-            q = min(2 * q, MAX_PREC_BITS)
+            q = _next_prec(q, f"density_power({t},{l},{s}) vs half-limit")
             thr_lo, thr_hi = _half_exp_neg_interval(c, q + _GUARD_BITS)
 
 
@@ -428,9 +438,7 @@ def _growth_exceeds_one(t: int, l: int, s: int, g: CertifiedReal) -> bool:
     MAX_PREC_BITS.
     """
     while not (g.lower > 1 or g.upper < 1):
-        if g.prec_bits >= MAX_PREC_BITS:
-            raise PrecisionExhaustedError(f"growth_factor({t},{l},{s}) vs 1", MAX_PREC_BITS)
-        g = growth_factor(t, l, s, prec=min(2 * g.prec_bits, MAX_PREC_BITS))
+        g = growth_factor(t, l, s, prec=_next_prec(g.prec_bits, f"growth_factor({t},{l},{s}) vs 1"))
     return g.lower > 1
 
 

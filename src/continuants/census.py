@@ -286,13 +286,13 @@ class CensusReport:
         }
 
 
-def _report_values(table: dict, top_k: int, spectrum: dict) -> list[int]:
-    """The values a report shows: for each of the top_k largest multiplicities,
-    its WITNESS_VALUES_PER_MULT smallest values; by multiplicity descending,
-    then value ascending.  ``spectrum``, the table's multiplicity counts, is
-    read for its keys."""
+def _report_values(table: dict, spectrum: dict) -> list[int]:
+    """The values a report shows: for each of the WITNESS_TOP_K largest
+    multiplicities, its WITNESS_VALUES_PER_MULT smallest values; by
+    multiplicity descending, then value ascending.  ``spectrum``, the
+    table's multiplicity counts, is read for its keys."""
     values = []
-    for mu in heapq.nlargest(top_k, spectrum):
+    for mu in heapq.nlargest(WITNESS_TOP_K, spectrum):
         values += heapq.nsmallest(WITNESS_VALUES_PER_MULT, [v for v, c in table.items() if c == mu])
     return values
 
@@ -308,7 +308,7 @@ def run_census(
 
     def pick(table: dict) -> list[int]:
         spectrum.update(table.values())
-        return _report_values(table, WITNESS_TOP_K, spectrum)
+        return _report_values(table, spectrum)
 
     classes, table, words = _value_table(
         alphabet,

@@ -8,15 +8,14 @@ Every subcommand prints machine-readable output in one of three formats
     3  enumeration limit or value-table budget exceeded
     4  certified-comparison precision exhausted
 
-The global settings --limit and --format each come from the flag, else
-from the environment variable CONTINUANTS_LIMIT or CONTINUANTS_FORMAT, else
-from the library default (10^8 classes, plain).  main() resolves them once,
-before the command runs, and checks each setting once.  The library picks
-the precision of every certified enclosure.  --workers must be a positive
-integer and has no effect: every command runs in one process.  It is still
-accepted so that existing command lines keep working.  Integer fields that
-are not argparse-typed (--lacunary, --m-range and CONTINUANTS_LIMIT) parse
-at any length.
+Every setting comes from the command line, and no variable is read:
+--limit and --format default to the library's values (10^8 classes,
+plain).  main() checks the settings once, before the command runs.  The
+library picks the precision of every certified enclosure.  --workers must
+be a positive integer and has no effect: every command runs in one process.
+It is still accepted so that existing command lines keep working.  Integer
+fields that are not argparse-typed (--lacunary and --m-range) parse at any
+length.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from collections.abc import Callable, Sequence
 from decimal import Decimal, InvalidOperation
@@ -40,8 +38,6 @@ from .core import (
     DEFAULT_CLASS_LIMIT, Alphabet, ClassTooLargeError, ParikhVector, ValueBudgetExceededError, _parse_positive,
     check_shape, continuant, format_word, int_text, parse_word,
 )
-
-ENV_PREFIX = "CONTINUANTS_"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,10 +57,6 @@ _EXIT_CODES = {
 }
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
 def _parse_int(text: str, what: str) -> int:
     """int(text) without int()'s digit limit: a run of digits goes through
     Decimal, as in core._parse_positive; anything else is int()'s to accept."""
@@ -79,8 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--workers", type=int, default=None, help="accepted for compatibility; has no effect"
     )
-    shared.add_argument("--limit", type=int, default=None, help="enumeration limit (reversal classes)")
-    shared.add_argument("--format", choices=FORMATS, default=None, help="output format")
+    shared.add_argument(
+        "--limit", type=int, default=DEFAULT_CLASS_LIMIT, help="enumeration limit (reversal classes)"
+    )
+    shared.add_argument("--format", choices=FORMATS, default="plain", help="output format")
 
     parser = argparse.ArgumentParser(prog="continuants", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -126,21 +120,8 @@ def _add_class_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--parikh", required=True, help="comma-separated occurrence counts")
 
 
-def _resolve_settings(args: argparse.Namespace) -> None:
-    """Set args.limit and args.format from the flag, else the CONTINUANTS_
-    variable, else the library default.
-
-    Each setting is checked once, in this order: the CONTINUANTS_LIMIT text,
-    the format, then --workers and the limit value.
-    """
-    if args.limit is None:
-        limit = _env("LIMIT")
-        args.limit = DEFAULT_CLASS_LIMIT if limit is None else _parse_int(limit, ENV_PREFIX + "LIMIT")
-    if args.format is None:  # argparse checks --format
-        fmt = _env("FORMAT")
-        if fmt is not None and fmt not in FORMATS:
-            raise ValueError(f"invalid {ENV_PREFIX}FORMAT: {fmt!r} is not one of {', '.join(FORMATS)}")
-        args.format = "plain" if fmt is None else fmt
+def _check_settings(args: argparse.Namespace) -> None:
+    """Check --workers, then --limit; argparse has checked --format."""
     if args.workers is not None and args.workers < 1:
         raise ValueError(f"workers must be positive, got {args.workers}")
     if args.limit < 1:
@@ -371,7 +352,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _resolve_settings(args)
+        _check_settings(args)
         _emit(args.format, *_COMMANDS[args.command](args))
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

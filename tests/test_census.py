@@ -332,7 +332,7 @@ def reference_table(letters, counts, words_per_value, witness_values):
 
 
 def assert_matches_reference(letters, counts, words_per_value=3):
-    for pick in (None, lambda t: census._report_values(t, 3, Counter(t.values()))):
+    for pick in (None, lambda t: census._report_values(t, Counter(t.values()))):
         got = census._value_table(
             alpha(*letters), parikh(*counts), words_per_value=words_per_value, witness_values=pick
         )
@@ -427,7 +427,7 @@ class TestKernels:
         # A census-bigint class at seed 0: its 30 picked values sit in a few of 890 rows.
         letters, counts = (632, 926, 976, 100782), (3, 4, 1, 4)
         _, table, _ = census._value_table(alpha(*letters), parikh(*counts))
-        picked = census._report_values(table, census.WITNESS_TOP_K, Counter(table.values()))
+        picked = census._report_values(table, Counter(table.values()))
         every = [(r[:-1], set(r[-1])) for r in kernel_rows(letters, counts)]
         kept = [(r[:-1], set(r[-1])) for r in kernel_rows(letters, counts, sorted(picked))]
         holding = [r for r in every if not r[1].isdisjoint(picked)]

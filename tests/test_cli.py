@@ -1,4 +1,4 @@
-"""CLI surface: parsing, formats, exit codes, environment overrides."""
+"""CLI surface: parsing, formats, exit codes; no setting comes from the environment."""
 
 import csv
 import functools
@@ -398,7 +398,7 @@ class TestInputDigits:
 
 
 class TestLongFields:
-    """--lacunary, --m-range and CONTINUANTS_LIMIT parse at any length."""
+    """--lacunary and --m-range parse at any length."""
 
     def test_lacunary_prints_what_the_same_alphabet_prints(self, capsys):
         high = PAST_LIMIT[:-1] + "1"
@@ -426,10 +426,6 @@ class TestLongFields:
     )
     def test_rule_names_the_long_field(self, capsys, flags, message):
         assert run(capsys, "explore", *flags) == (EXIT_USAGE, "", f"error: {message}\n")
-
-    def test_env_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONTINUANTS_LIMIT", PAST_LIMIT)
-        assert run(capsys, "continuant", "2,1,1,2") == (EXIT_OK, "13\n", "")
 
     @given(st.text(st.sampled_from("0123456789 +-_.eE\u00b2\u0663\t"), max_size=8))
     def test_short_text_parses_as_int_does(self, text):
@@ -560,44 +556,18 @@ class TestOutputBytes:
         assert run(capsys, *argv) == (EXIT_OK, expected, "")
 
 
+# One command line per subcommand.
+ONE_PER_COMMAND = [
+    ["continuant", "2,1,1,2"],
+    ["wmax", "--alphabet", "1,2", "--parikh", "2,2", "--verify"],
+    ["census", "--alphabet", "1,2", "--parikh", "2,2"],
+    ["bounds", "--t", "1", "--l", "1", "--s", "5", "--m", "2"],
+    ["explore", "--alphabet", "1,2", "--budget", "1"],
+]
+
+
 class TestGlobalFlags:
-    def test_env_override_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONTINUANTS_FORMAT", "json")
-        _, out, _ = run(capsys, "continuant", "2,1,1,2")
-        assert json.loads(out)["value"] == "13"
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONTINUANTS_FORMAT", "json")
-        _, out, _ = run(capsys, "continuant", "--format", "plain", "2,1,1,2")
-        assert out.strip() == "13"
-
-    def test_env_override_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONTINUANTS_LIMIT", "2")
-        code, _, err = run(capsys, "census", "--alphabet", "1,2", "--parikh", "2,2")
-        assert code == EXIT_LIMIT
-        assert "2" in err
-
-    @pytest.mark.parametrize("name", ["CONTINUANTS_LIMIT", "CONTINUANTS_FORMAT"])
-    def test_bad_env_value_names_the_variable(self, capsys, monkeypatch, name):
-        monkeypatch.setenv(name, "abc")
-        code, out, err = run(capsys, "continuant", "1,2")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert name in err and "'abc'" in err
-        if name == "CONTINUANTS_FORMAT":
-            assert all(fmt in err for fmt in ("plain", "json", "csv"))
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["continuant", "2,1,1,2"],
-            ["wmax", "--alphabet", "1,2", "--parikh", "2,2"],
-            ["census", "--alphabet", "1,2", "--parikh", "2,2"],
-            ["bounds", "--t", "1", "--l", "1"],
-            ["explore", "--alphabet", "1,2", "--budget", "1"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda argv: argv[0])
     def test_precision_flag_is_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main([*argv, "--precision", "64"])
@@ -606,11 +576,29 @@ class TestGlobalFlags:
         assert captured.err.startswith("usage: continuants")
         assert "unrecognized arguments: --precision 64" in captured.err
 
-    def test_precision_variable_is_not_read(self, capsys, monkeypatch):
-        argv = ["bounds", "--t", "1", "--l", "1", "--s", "5", "--m", "2", "--format", "json"]
-        monkeypatch.delenv("CONTINUANTS_PRECISION", raising=False)
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("LIMIT", "2"),
+            ("LIMIT", "0"),
+            ("LIMIT", "x"),
+            ("LIMIT", PAST_LIMIT),
+            ("FORMAT", "json"),
+            ("FORMAT", ""),
+            ("FORMAT", "yaml"),
+            ("PRECISION", "abc"),
+        ],
+        ids=[
+            "limit-2", "limit-0", "limit-x", "limit-past-limit",
+            "format-json", "format-empty", "format-yaml", "precision-abc",
+        ],
+    )
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda argv: argv[0])
+    def test_no_variable_is_read(self, capsys, monkeypatch, argv, name, value):
+        for unset in ("LIMIT", "FORMAT", "PRECISION"):
+            monkeypatch.delenv("CONTINUANTS_" + unset, raising=False)
         expected = run(capsys, *argv)
-        monkeypatch.setenv("CONTINUANTS_PRECISION", "abc")
+        monkeypatch.setenv("CONTINUANTS_" + name, value)
         assert run(capsys, *argv) == expected
         assert expected[0] == EXIT_OK
 
@@ -692,46 +680,19 @@ class TestRepeatedCalls:
 
 
 class TestSettings:
-    """--limit and --format come from the flag, else the CONTINUANTS_ variable,
-    else the library default; each is checked once, in a fixed order."""
-
-    @pytest.fixture(autouse=True)
-    def clean_environment(self, monkeypatch):
-        for name in ("LIMIT", "FORMAT"):
-            monkeypatch.delenv("CONTINUANTS_" + name, raising=False)
+    """--limit and --format come from the flag, else the library default;
+    --workers and then --limit are checked once, before the command runs."""
 
     @pytest.mark.parametrize(
-        "env, flags, message",
+        "flags, message",
         [
-            ({}, ["--limit", "0"], "enumeration limit must be positive, got 0"),
-            ({}, ["--workers", "0", "--limit", "0"], "workers must be positive, got 0"),
-            ({"LIMIT": "0"}, [], "enumeration limit must be positive, got 0"),
-            ({"FORMAT": ""}, [], "invalid CONTINUANTS_FORMAT: '' is not one of plain, json, csv"),
-            ({"FORMAT": "yaml", "LIMIT": "x"}, [], "invalid CONTINUANTS_LIMIT: 'x' is not an integer"),
-            (
-                {"FORMAT": "yaml"},
-                ["--workers", "0"],
-                "invalid CONTINUANTS_FORMAT: 'yaml' is not one of plain, json, csv",
-            ),
+            (["--limit", "0"], "enumeration limit must be positive, got 0"),
+            (["--workers", "0", "--limit", "0"], "workers must be positive, got 0"),
         ],
     )
-    def test_bad_setting(self, capsys, monkeypatch, env, flags, message):
-        for name, value in env.items():
-            monkeypatch.setenv("CONTINUANTS_" + name, value)
+    def test_bad_setting(self, capsys, flags, message):
         expected = (EXIT_USAGE, "", f"error: {message}\n")
         assert run(capsys, "bounds", "--t", "1", "--l", "1", *flags) == expected
-
-    @pytest.mark.parametrize(
-        "name, value, flags",
-        [("LIMIT", "x", ["--limit", "5"]), ("FORMAT", "yaml", ["--format", "json"])],
-        ids=["limit", "format"],
-    )
-    def test_flag_skips_a_bad_variable(self, capsys, monkeypatch, name, value, flags):
-        argv = ["bounds", "--t", "1", "--l", "1", *flags]
-        expected = run(capsys, *argv)
-        monkeypatch.setenv("CONTINUANTS_" + name, value)
-        assert run(capsys, *argv) == expected
-        assert expected[0] == EXIT_OK
 
     @staticmethod
     def spy(monkeypatch, module, name):
